@@ -4,9 +4,8 @@ from .bellman import (
     StageConfig,
     ValueFunctionStack,
     backward_pass,
-    continuation_value,
+    continuation,
     contraction_check,
-    empirical_bellman,
     generate_stage_data,
     load_stack,
     policy_lower_bound,
@@ -22,7 +21,7 @@ from .config import (
     default_sample_sizes,
     load_config,
 )
-from .dynamics import CEMETERY, GbmParams, correlate, gbm_step, sample_mu_t, substream, transition
+from .dynamics import GbmParams, correlate, gbm_step, sample_mu_t, substream
 from .experiments import (
     PricingResult,
     convergence_study,
@@ -31,16 +30,7 @@ from .experiments import (
     run_benchmark,
     select_lengthscale,
 )
-from .kernels import (
-    KernelSpec,
-    KrrModel,
-    clipped_predict,
-    gram_matrix,
-    krr_fit,
-    nystrom_fit,
-    predict,
-    rbf_kernel,
-)
+from .kernels import KernelSpec, KrrModel, gram_matrix, krr_fit, nystrom_fit
 from .oracles import (
     Reduced1d,
     bs_price,
@@ -48,6 +38,6 @@ from .oracles import (
     geometric_reduction,
     longstaff_schwartz,
 )
-from .payoffs import PayoffSpec, geo_basket_put, max_call, stage_reward
+from .payoffs import PayoffSpec
 
 __version__ = "0.1.0"

@@ -15,22 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .dynamics import (
-    CEMETERY,
-    INNER,
-    OUTER,
-    GbmParams,
-    gbm_step,
-    is_cemetery,
-    sample_mu_t,
-    substream,
-    transition,
-)
+from .dynamics import INNER, NYSTROM, OUTER, GbmParams, gbm_step, sample_mu_t, substream
 from .kernels import KernelSpec, KrrModel
-from .payoffs import PayoffSpec, payoff_batch, payoff_value, stage_reward
+from .payoffs import PayoffSpec, payoff_batch
 
 # Above this training size the stage fit switches to Nystrom automatically.
 NYSTROM_AUTO_THRESHOLD = 2000
+
+# generate_stage_data computes its targets in this many blocks of points at
+# any thread count: BLAS rounds a row's kernel sums differently in blocks of
+# different sizes, so a fixed split keeps the targets bitwise independent of
+# --jobs.
+TARGET_BLOCKS = 8
 
 STACK_FORMAT_VERSION = 1
 
@@ -48,8 +44,8 @@ class StageConfig:
     def __post_init__(self):
         if self.n < 1 or self.M < 1:
             raise ValueError("n and M must be at least 1")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lambda must be nonnegative and finite")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
 
@@ -69,78 +65,45 @@ class ValueFunctionStack:
         model = self.models[t]
         return lambda X: kernels.clipped_predict_batch(model, X)
 
-    def value_at(self, t, x):
-        """Stage-t value at one state; 0 at the cemetery."""
-        if is_cemetery(x):
-            return 0.0
-        return float(self.stage_fn(t)(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
-
 
 def discount(params):
     return math.exp(-params.r * params.dt)
 
 
-def continuation_value(x, next_value, M, params, rng):
-    """Discounted M-sample MC estimate of the held-position value at x."""
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    z = rng.standard_normal((M, params.d))
-    xn = gbm_step(np.asarray(x, dtype=np.float64), params, z)
-    return discount(params) * float(np.mean(next_value(xn)))
+def continuation(X, next_fn, Z, params):
+    """The (n, M) matrix of discounted next values e^{-r dt} next_fn(step(X_i, Z_ij)).
 
-
-def empirical_bellman(x, t, f_next, controls, rewards, M, params, rng):
-    """max over controls of reward plus discounted M-sample continuation.
-
-    ``rewards`` is a callable (x, u, t) -> real; ``f_next`` evaluates batches
-    of next states and is taken to vanish at the cemetery.
+    Each state X_i (a row of X, shape (n, d)) takes one GBM step per shock
+    Z_ij (Z has shape (n, M, d)), and next_fn is evaluated once on all n*M
+    next states. Row means are the M-sample Monte Carlo continuation values.
     """
-    controls = list(controls)
-    if not controls:
-        raise ValueError("control set must be nonempty")
-    if is_cemetery(x):
-        return 0.0
-    z = rng.standard_normal((M, params.d))
-    disc = discount(params)
-    best = -math.inf
-    for u in controls:
-        nxt = [transition(x, u, params, z[j]) for j in range(M)]
-        real = [s for s in nxt if not is_cemetery(s)]
-        cont = 0.0
-        if real:
-            cont = float(np.sum(f_next(np.asarray(real)))) / M
-        best = max(best, rewards(x, u, t) + disc * cont)
-    return best
+    n, M, d = Z.shape
+    xn = gbm_step(X[:, None, :], params, Z)
+    return discount(params) * next_fn(xn.reshape(-1, d)).reshape(n, M)
 
 
-def _target_block(idx, X, t, M, next_fn, params, payoff, seed):
-    d = params.d
+def _inner_normals(seed, t, idx, M, d):
+    """Inner-MC shocks (len(idx), M, d); point i draws from substream(seed, INNER, t, i)."""
     Z = np.empty((len(idx), M, d))
     for j, i in enumerate(idx):
         Z[j] = substream(seed, INNER, t, i).standard_normal((M, d))
-    xn = gbm_step(X[idx][:, None, :], params, Z)
-    cont = discount(params) * next_fn(xn.reshape(-1, d)).reshape(len(idx), M).mean(axis=1)
-    return np.maximum(payoff_batch(payoff, X[idx]), cont)
+    return Z
 
 
 def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1):
     """Supervised pairs (X, y) at stage t: y_i = max(exercise, MC continuation)."""
     X = sample_mu_t(params, t, cfg.n, substream(seed, OUTER, t))
-    y = np.empty(cfg.n)
-    idx = np.arange(cfg.n)
+    blocks = np.array_split(np.arange(cfg.n), TARGET_BLOCKS)
+
+    def target(idx):
+        Z = _inner_normals(seed, t, idx, cfg.M, params.d)
+        cont = continuation(X[idx], next_fn, Z, params).mean(axis=1)
+        return np.maximum(payoff_batch(payoff, X[idx]), cont)
+
     if n_jobs <= 1:
-        y[:] = _target_block(idx, X, t, cfg.M, next_fn, params, payoff, seed)
-        return X, y
-    blocks = np.array_split(idx, n_jobs * 4)
-    blocks = [b for b in blocks if len(b)]
+        return X, np.concatenate(list(map(target, blocks)))
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        futs = [
-            (b, pool.submit(_target_block, b, X, t, cfg.M, next_fn, params, payoff, seed))
-            for b in blocks
-        ]
-        for b, fut in futs:
-            y[b] = fut.result()
-    return X, y
+        return X, np.concatenate(list(pool.map(target, blocks)))
 
 
 def _fit_stage(X, y, cfg, seed, t):
@@ -151,7 +114,7 @@ def _fit_stage(X, y, cfg, seed, t):
     if m is None and cfg.n > NYSTROM_AUTO_THRESHOLD:
         m = NYSTROM_AUTO_THRESHOLD
     if m is not None and m < cfg.n:
-        model = kernels.nystrom_fit(X, y, cfg.lam, cfg.kernel, m, substream(seed, INNER, t, 1 << 32))
+        model = kernels.nystrom_fit(X, y, cfg.lam, cfg.kernel, m, substream(seed, NYSTROM, t))
     else:
         model = kernels.krr_fit(X, y, cfg.lam, cfg.kernel)
     return kernels.with_clip(model, clip)
@@ -164,15 +127,15 @@ def backward_pass(run, n_jobs=1):
     solution at a single atom: the shrunk target mean, stored as a constant
     model. A fresh large-MC re-evaluation is done by ``price_at_origin``.
     """
-    params, payoff, T, seed = run.params, run.payoff, run.steps, run.seed
-    models = [None] * T
-    timings = [0.0] * T
-    next_fn = lambda X: payoff_batch(payoff, X)
+    params, T, seed = run.params, run.steps, run.seed
+    stack = ValueFunctionStack(payoff=run.payoff, models=[None] * T, params=params,
+                               horizon=T, timings=[0.0] * T)
     for t in range(T - 1, -1, -1):
         cfg = run.stages[t]
         tic = time.perf_counter()
         try:
-            X, y = generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs)
+            X, y = generate_stage_data(t, cfg, stack.stage_fn(t + 1), params, run.payoff,
+                                       seed, n_jobs)
             if t == 0:
                 clip = float(np.max(np.abs(y)))
                 value = float(np.mean(y)) / (1.0 + cfg.lam)
@@ -182,20 +145,18 @@ def backward_pass(run, n_jobs=1):
                 model = _fit_stage(X, y, cfg, seed, t)
         except kernels.FitError as exc:
             raise kernels.FitError(f"stage {t}: {exc}") from exc
-        timings[t] = time.perf_counter() - tic
-        models[t] = model
-        next_fn = (lambda m: (lambda Xb: kernels.clipped_predict_batch(m, Xb)))(model)
-    return ValueFunctionStack(payoff=payoff, models=models, params=params,
-                              horizon=T, timings=timings)
+        stack.timings[t] = time.perf_counter() - tic
+        stack.models[t] = model
+    return stack
 
 
 def price_at_origin(stack, eval_M, rng):
     """Time-0 Bellman value at x0 with a fresh eval_M-sample continuation."""
     params = stack.params
-    z = rng.standard_normal((eval_M, params.d))
-    xn = gbm_step(params.x0, params, z)
-    cont = discount(params) * float(np.mean(stack.stage_fn(1)(xn)))
-    return max(payoff_value(stack.payoff, params.x0), cont)
+    x0 = params.x0[None]
+    Z = rng.standard_normal((1, eval_M, params.d))
+    cont = continuation(x0, stack.stage_fn(1), Z, params).mean()
+    return float(max(payoff_batch(stack.payoff, x0)[0], cont))
 
 
 def policy_lower_bound(stack, paths, rng, inner_m=64):
@@ -210,7 +171,6 @@ def policy_lower_bound(stack, paths, rng, inner_m=64):
         raise ValueError("paths must be at least 1")
     params, payoff, T = stack.params, stack.payoff, stack.horizon
     d, dt, r = params.d, params.dt, params.r
-    disc = discount(stack.params)
     x = np.tile(params.x0, (paths, 1))
     alive = np.arange(paths)
     value = np.zeros(paths)
@@ -219,8 +179,7 @@ def policy_lower_bound(stack, paths, rng, inner_m=64):
             break
         C = payoff_batch(payoff, x)
         z = rng.standard_normal((x.shape[0], inner_m, d))
-        xn = gbm_step(x[:, None, :], params, z)
-        cont = disc * stack.stage_fn(t + 1)(xn.reshape(-1, d)).reshape(-1, inner_m).mean(axis=1)
+        cont = continuation(x, stack.stage_fn(t + 1), z, params).mean(axis=1)
         stop = (C > 0) & (C >= cont)
         value[alive[stop]] = C[stop] * math.exp(-r * t * dt)
         keep = ~stop
@@ -254,15 +213,13 @@ def contraction_check(f, g, t, n_eval, M, params, payoff, rng):
     """
     X = sample_mu_t(params, t, n_eval, rng)
     Z = rng.standard_normal((n_eval, M, params.d))
-    xn = gbm_step(X[:, None, :], params, Z).reshape(-1, params.d)
-    fv = f(xn).reshape(n_eval, M)
-    gv = g(xn).reshape(n_eval, M)
-    disc = discount(params)
+    F = continuation(X, f, Z, params)
+    G = continuation(X, g, Z, params)
     C = payoff_batch(payoff, X)
-    tf = np.maximum(C, disc * fv.mean(axis=1))
-    tg = np.maximum(C, disc * gv.mean(axis=1))
+    tf = np.maximum(C, F.mean(axis=1))
+    tg = np.maximum(C, G.mean(axis=1))
     lhs = float(np.sqrt(np.mean((tf - tg) ** 2)))
-    rhs = disc * float(np.sqrt(np.mean((fv - gv) ** 2)))
+    rhs = float(np.sqrt(np.mean((F - G) ** 2)))
     return lhs, rhs
 
 

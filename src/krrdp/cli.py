@@ -8,10 +8,11 @@ from . import bellman, experiments
 from .config import ConfigError, load_config
 
 
-def _add_common(p):
+def _add_common(p, jobs=True):
     p.add_argument("--config", required=True, help="path to a run config file")
     p.add_argument("--seed", type=int, default=None, help="override the root seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for data generation")
+    if jobs:
+        p.add_argument("--jobs", type=int, default=1, help="worker threads for data generation")
 
 
 def _load(args):
@@ -95,7 +96,7 @@ def main(argv=None):
     p.set_defaults(fn=cmd_converge)
 
     p = sub.add_parser("mc-diag", help="continuation-value MC error diagnostic")
-    _add_common(p)
+    _add_common(p, jobs=False)
     p.add_argument("--m", required=True, help="M_small,M_large")
     p.set_defaults(fn=cmd_mc_diag)
 

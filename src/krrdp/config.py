@@ -62,6 +62,10 @@ class RunConfig:
             raise ConfigError("repetitions must be at least 1")
         if len(self.stages) != self.steps:
             raise ConfigError("need one StageConfig per step")
+        if self.eval_M < 1:
+            raise ConfigError("eval_M must be at least 1")
+        if self.lb_paths < 1:
+            raise ConfigError("lb_paths must be at least 1")
 
     def with_lengthscale(self, ls):
         spec = KernelSpec(lengthscale=float(ls))
@@ -158,6 +162,8 @@ def build_run_config(entries):
         return default
 
     d = take("market.d", cast=int)
+    if d < 1:
+        raise ConfigError("field 'market.d': need at least one asset")
     r = take("market.r", 0.05, float)
     sigma = np.asarray(take("market.sigma", [0.2], _floats))
     if sigma.size == 1:
@@ -182,8 +188,8 @@ def build_run_config(entries):
     steps = take("contract.steps", 9, int)
     if steps < 1:
         raise ConfigError("field 'contract.steps': steps must be at least 1")
-    if not maturity > 0:
-        raise ConfigError("field 'contract.maturity': maturity must be positive")
+    if not 0 < maturity < math.inf:
+        raise ConfigError("field 'contract.maturity': maturity must be positive and finite")
     dt = maturity / steps
 
     try:

@@ -5,6 +5,7 @@ RNG discipline: every consumer derives an independent Philox substream from
 is reproducible regardless of execution order.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,27 +16,15 @@ INNER = 1   # inner MC for continuation values
 EVAL = 2    # fresh time-0 evaluation
 LOWER = 3   # lower-bound policy simulation
 REP = 4     # per-repetition root
-SELECT = 5  # lengthscale cross-validation
+SELECT = 5  # lengthscale cross-validation: root of its stage data
+FOLDS = 6   # lengthscale cross-validation: fold permutation
+DIAG = 7    # root of the inner-MC error diagnostic
+NYSTROM = 8  # Nystrom center subsample
 
 
 def substream(seed, *key):
     """Counter-based generator keyed by (seed, *key); order-independent."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, key)])))
-
-
-class _Cemetery:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "CEMETERY"
-
-
-#: Absorbing state for "option already exercised"; value functions are 0 here.
-CEMETERY = _Cemetery()
-
-
-def is_cemetery(x):
-    return x is CEMETERY
 
 
 @dataclass(frozen=True)
@@ -54,12 +43,14 @@ class GbmParams:
         x0 = np.asarray(self.x0, dtype=np.float64).ravel()
         if sigma.shape != (self.d,) or x0.shape != (self.d,) or rho.shape != (self.d, self.d):
             raise ValueError("sigma, x0, rho must match asset count d")
-        if not np.all(sigma > 0):
-            raise ValueError("sigma must be positive")
-        if not np.all(x0 > 0):
-            raise ValueError("x0 must be positive")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not math.isfinite(self.r):
+            raise ValueError("r must be finite")
+        if not np.all((sigma > 0) & np.isfinite(sigma)):
+            raise ValueError("sigma must be positive and finite")
+        if not np.all((x0 > 0) & np.isfinite(x0)):
+            raise ValueError("x0 must be positive and finite")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if not np.allclose(rho, rho.T) or not np.allclose(np.diag(rho), 1.0):
             raise ValueError("rho must be symmetric with unit diagonal")
         try:
@@ -90,15 +81,6 @@ def gbm_step(x, params, z):
     drift = (params.r - 0.5 * params.sigma**2) * params.dt
     shock = params.sigma * np.sqrt(params.dt) * correlate(z, params)
     return x * np.exp(drift + shock)
-
-
-def transition(x, u, params, z):
-    """Controlled transition: u=0 (exercise) or cemetery input absorbs."""
-    if u not in (0, 1):
-        raise ValueError("control must be 0 or 1")
-    if is_cemetery(x) or u == 0:
-        return CEMETERY
-    return gbm_step(x, params, z)
 
 
 def sample_mu_t(params, t, n, rng):

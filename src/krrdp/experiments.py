@@ -8,7 +8,7 @@ from scipy.stats import spearmanr
 
 from . import bellman, kernels, oracles
 from .config import config_hash
-from .dynamics import EVAL, LOWER, REP, SELECT, sample_mu_t, substream
+from .dynamics import DIAG, EVAL, FOLDS, LOWER, OUTER, REP, SELECT, sample_mu_t, substream
 from .payoffs import GEO_BASKET_PUT, payoff_batch
 
 ORACLE_TREE_STEPS_PER_DATE = 1000
@@ -29,8 +29,9 @@ class PricingResult:
     oracle_price: float | None = None
 
 
-def _rep_seed(seed, rep):
-    return int(np.random.SeedSequence([seed, REP, rep]).generate_state(1, np.uint64)[0])
+def _child_seed(seed, *key):
+    """A root seed derived from (seed, *key), for a run's independent parts."""
+    return int(np.random.SeedSequence([seed, *key]).generate_state(1, np.uint64)[0])
 
 
 def oracle_price(cfg, tree_steps=None):
@@ -48,11 +49,11 @@ def select_lengthscale(cfg, grid, n_jobs=1):
     """Pick the lengthscale with lowest 5-fold CV error on the stage T-1 fit."""
     t = cfg.steps - 1
     stage = cfg.stages[t]
-    seed = int(np.random.SeedSequence([cfg.seed, SELECT]).generate_state(1, np.uint64)[0])
+    seed = _child_seed(cfg.seed, SELECT)
     next_fn = lambda X: payoff_batch(cfg.payoff, X)
     X, y = bellman.generate_stage_data(t, stage, next_fn, cfg.params, cfg.payoff,
                                        seed, n_jobs)
-    order = substream(seed, 1).permutation(stage.n)
+    order = substream(seed, FOLDS).permutation(stage.n)
     folds = np.array_split(order, 5)
     best_ls, best_err = None, math.inf
     for ls in grid:
@@ -89,7 +90,7 @@ def run_benchmark(cfg, n_jobs=1):
     timings = np.zeros(cfg.steps)
     first_stack = None
     for rep in range(cfg.repetitions):
-        rep_cfg = replace(cfg, seed=_rep_seed(cfg.seed, rep))
+        rep_cfg = replace(cfg, seed=_child_seed(cfg.seed, REP, rep))
         stack = bellman.backward_pass(rep_cfg, n_jobs)
         if first_stack is None:
             first_stack = stack
@@ -156,7 +157,7 @@ def convergence_study(cfg, n_grid, reference=None, n_jobs=1, c_lambda=0.1, c_m=1
     return rows, rho
 
 
-def mc_error_diagnostic(cfg, m_pair, n_jobs=1):
+def mc_error_diagnostic(cfg, m_pair):
     """RMS gap between continuation estimates at M_small vs M_large.
 
     Shared outer points and shared noise prefix per point (the small estimate
@@ -164,22 +165,16 @@ def mc_error_diagnostic(cfg, m_pair, n_jobs=1):
     equal M gives exactly 0 and the gap scales like sqrt(1/M_small - 1/M_large).
     """
     m_small, m_large = m_pair
-    if m_small > m_large:
-        raise ValueError("need M_small <= M_large")
+    if not 1 <= m_small <= m_large:
+        raise ValueError("need 1 <= M_small <= M_large")
     t = cfg.steps - 1
-    stage = cfg.stages[t]
     params = cfg.params
-    seed = int(np.random.SeedSequence([cfg.seed, 7]).generate_state(1, np.uint64)[0])
-    X = sample_mu_t(params, t, stage.n, substream(seed, 0))
-    next_fn = lambda Xb: payoff_batch(cfg.payoff, Xb)
-    disc = bellman.discount(params)
-    gaps = np.empty(stage.n)
-    from .dynamics import gbm_step
-
-    for i in range(stage.n):
-        z = substream(seed, 1, i).standard_normal((m_large, params.d))
-        vals = next_fn(gbm_step(X[i], params, z))
-        gaps[i] = disc * (vals[:m_small].mean() - vals.mean())
+    n = cfg.stages[t].n
+    seed = _child_seed(cfg.seed, DIAG)
+    X = sample_mu_t(params, t, n, substream(seed, OUTER, t))
+    Z = bellman._inner_normals(seed, t, range(n), m_large, params.d)
+    S = bellman.continuation(X, lambda Xb: payoff_batch(cfg.payoff, Xb), Z, params)
+    gaps = S[:, :m_small].mean(axis=1) - S.mean(axis=1)
     return float(np.sqrt(np.mean(gaps**2)))
 
 

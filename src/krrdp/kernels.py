@@ -5,8 +5,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from . import accel
-
 
 class FitError(RuntimeError):
     """Raised when the regression system cannot be factorized."""
@@ -47,28 +45,27 @@ class KrrModel:
             raise ValueError("coefficients must match centers in length")
 
 
-def rbf_kernel(x, y, spec):
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(np.exp(-(diff @ diff) / (2.0 * spec.lengthscale**2)))
-
-
 def _as_matrix(X):
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
     return X
 
 
+def _rbf_gram(X, Y, lengthscale):
+    sq = np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
+    sq -= 2.0 * (X @ Y.T)
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(sq * (-0.5 / lengthscale**2))
+
+
 def gram_matrix(X, Y, spec):
+    """Gram block exp(-||x - y||^2 / (2 l^2)) for row sets X (n, d), Y (m, d)."""
     X = _as_matrix(X)
     Y = _as_matrix(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    return accel.rbf_gram(X, Y, spec.lengthscale)
+    return _rbf_gram(X, Y, spec.lengthscale)
 
 
 def _solve_spd(A, b, jitter_scale):
@@ -141,29 +138,24 @@ def with_clip(model, bound):
 
 
 def predict_batch(model, X):
+    """Kernel expansion sum_j coef_j k(c_j, x_i) for a batch X (n, d)."""
     X = _as_matrix(X)
+    n = X.shape[0]
     if model.constant is not None:
-        return np.full(X.shape[0], model.constant)
-    if X.shape[1] != model.centers.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {X.shape[1]} vs {model.centers.shape[1]}"
-        )
-    return accel.rbf_predict(
-        X, model.centers, model.coefficients, model.kernel.lengthscale
-    )
-
-
-def predict(model, x):
-    return float(predict_batch(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
+        return np.full(n, model.constant)
+    centers = model.centers
+    if X.shape[1] != centers.shape[1]:
+        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {centers.shape[1]}")
+    # Chunked so big evaluation batches never materialize a huge Gram block.
+    out = np.empty(n)
+    step = max(1, 2**22 // max(1, centers.shape[0]))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        out[lo:hi] = _rbf_gram(X[lo:hi], centers, model.kernel.lengthscale) @ model.coefficients
+    return out
 
 
 def clipped_predict_batch(model, X):
     if model.clip_bound is None:
         raise ValueError("model has no clip bound set")
     return np.clip(predict_batch(model, X), -model.clip_bound, model.clip_bound)
-
-
-def clipped_predict(model, x):
-    return float(
-        clipped_predict_batch(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
-    )

@@ -1,10 +1,9 @@
-"""Exercise payoffs and per-stage rewards for the stopping problem."""
+"""Exercise payoffs of the stopping problem."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dynamics import is_cemetery
 
 MAX_CALL = "max_call"
 GEO_BASKET_PUT = "geo_basket_put"
@@ -19,28 +18,8 @@ class PayoffSpec:
     def __post_init__(self):
         if self.kind not in PAYOFF_KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if not self.strike > 0:
-            raise ValueError("strike must be positive")
-
-
-def max_call(x, strike):
-    x = np.asarray(x, dtype=np.float64)
-    return float(max(x.max() - strike, 0.0))
-
-
-def geo_basket_put(x, strike):
-    x = np.asarray(x, dtype=np.float64)
-    gmean = np.exp(np.mean(np.log(x)))
-    return float(max(strike - gmean, 0.0))
-
-
-def payoff_value(spec, x):
-    """Payoff at a state; 0 at the cemetery."""
-    if is_cemetery(x):
-        return 0.0
-    if spec.kind == MAX_CALL:
-        return max_call(x, spec.strike)
-    return geo_basket_put(x, spec.strike)
+        if not 0 < self.strike < math.inf:
+            raise ValueError("strike must be positive and finite")
 
 
 def payoff_batch(spec, X):
@@ -52,11 +31,3 @@ def payoff_batch(spec, X):
     gmean = np.exp(np.mean(np.log(X), axis=1))
     return np.maximum(spec.strike - gmean, 0.0)
 
-
-def stage_reward(x, u, t, spec):
-    """F_t: payoff on exercise (u=0), zero on hold; zero at the cemetery."""
-    if u not in (0, 1):
-        raise ValueError("control must be 0 or 1")
-    if u == 1 or is_cemetery(x):
-        return 0.0
-    return payoff_value(spec, x)

@@ -20,6 +20,8 @@ from krrdp.experiments import convergence_study, run_benchmark
 from krrdp.kernels import KernelSpec
 from krrdp.payoffs import PayoffSpec, payoff_batch
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 7
 
 # (reference mean price, tolerance) per dimension for the standard rows

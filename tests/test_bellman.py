@@ -7,9 +7,8 @@ from krrdp import bellman, kernels
 from krrdp.bellman import (
     StageConfig,
     backward_pass,
-    continuation_value,
+    continuation,
     contraction_check,
-    empirical_bellman,
     generate_stage_data,
     load_stack,
     policy_lower_bound,
@@ -18,9 +17,9 @@ from krrdp.bellman import (
     schedule_hyperparams,
 )
 from krrdp.config import build_run_config
-from krrdp.dynamics import CEMETERY, GbmParams, gbm_step, substream
+from krrdp.dynamics import INNER, OUTER, GbmParams, gbm_step, sample_mu_t, substream
 from krrdp.kernels import KernelSpec
-from krrdp.payoffs import PayoffSpec, payoff_batch, payoff_value, stage_reward
+from krrdp.payoffs import PayoffSpec, payoff_batch
 
 
 def make_params(d=2):
@@ -66,37 +65,27 @@ def test_discount():
 def test_continuation_value_matches_manual_mc():
     params = make_params()
     payoff = PayoffSpec(kind="geo_basket_put", strike=100.0)
-    val = continuation_value(params.x0, lambda X: payoff_batch(payoff, X), 64,
-                             params, substream(3, 0))
-    z = substream(3, 0).standard_normal((64, 2))
-    manual = bellman.discount(params) * payoff_batch(payoff, gbm_step(params.x0, params, z)).mean()
-    assert val == pytest.approx(manual, rel=1e-12)
-    with pytest.raises(ValueError):
-        continuation_value(params.x0, lambda X: payoff_batch(payoff, X), 0,
-                           params, substream(3, 0))
+    X = np.array([[100.0, 100.0], [95.0, 102.0], [120.0, 80.0]])
+    Z = substream(3, 0).standard_normal((3, 64, 2))
+    S = continuation(X, lambda Xb: payoff_batch(payoff, Xb), Z, params)
+    assert S.shape == (3, 64)
+    for i in range(3):
+        manual = bellman.discount(params) * payoff_batch(payoff, gbm_step(X[i], params, Z[i]))
+        np.testing.assert_allclose(S[i], manual, rtol=1e-12, atol=1e-12)
 
 
-def test_empirical_bellman_equals_max_of_exercise_and_continuation():
-    params = make_params()
-    payoff = PayoffSpec(kind="geo_basket_put", strike=100.0)
-    f_next = lambda X: payoff_batch(payoff, X)
-    rewards = lambda x, u, t: stage_reward(x, u, t, payoff)
-    x = np.array([95.0, 102.0])
-    val = empirical_bellman(x, 2, f_next, (0, 1), rewards, 32, params, substream(5, 0))
-    z = substream(5, 0).standard_normal((32, 2))
-    cont = bellman.discount(params) * f_next(gbm_step(x, params, z)).mean()
-    assert val == pytest.approx(max(payoff_value(payoff, x), cont), rel=1e-12)
-
-
-def test_empirical_bellman_edge_cases():
-    params = make_params()
-    payoff = PayoffSpec(kind="geo_basket_put", strike=100.0)
-    rewards = lambda x, u, t: stage_reward(x, u, t, payoff)
-    f_next = lambda X: payoff_batch(payoff, X)
-    assert empirical_bellman(CEMETERY, 1, f_next, (0, 1), rewards, 8,
-                             params, substream(0, 0)) == 0.0
-    with pytest.raises(ValueError, match="nonempty"):
-        empirical_bellman(params.x0, 1, f_next, (), rewards, 8, params, substream(0, 0))
+def test_stage_targets_equal_max_of_exercise_and_continuation():
+    run = small_run()
+    params, payoff, t, M = run.params, run.payoff, 1, run.stages[1].M
+    stack = backward_pass(run)
+    next_fn = stack.stage_fn(t + 1)
+    X, y = generate_stage_data(t, run.stages[t], next_fn, params, payoff, run.seed)
+    np.testing.assert_array_equal(X, sample_mu_t(params, t, 40, substream(run.seed, OUTER, t)))
+    for i in (0, 17, 39):
+        z = substream(run.seed, INNER, t, i).standard_normal((M, 2))
+        cont = bellman.discount(params) * next_fn(gbm_step(X[i], params, z)).mean()
+        exercise = payoff_batch(payoff, X[i:i + 1])[0]
+        assert y[i] == pytest.approx(max(exercise, cont), rel=1e-12, abs=1e-12)
 
 
 def test_generate_stage_data_targets_dominate_exercise():
@@ -117,6 +106,19 @@ def test_generate_stage_data_bitwise_thread_invariance(jobs):
     Xj, yj = generate_stage_data(2, run.stages[2], next_fn, params, payoff, run.seed, n_jobs=jobs)
     np.testing.assert_array_equal(X1, Xj)
     np.testing.assert_array_equal(y1, yj)
+
+
+def test_generate_stage_data_kernel_targets_bitwise_across_jobs():
+    # The next function is the fitted stage T-1 model: its predict is where
+    # BLAS rounding could follow the thread blocks.
+    run = small_run(**{"market.d": "5", "stage.n": "300", "stage.M": "64"})
+    stack = backward_pass(run)
+    t = 1
+    results = [generate_stage_data(t, run.stages[t], stack.stage_fn(t + 1), run.params,
+                                   run.payoff, run.seed, n_jobs=jobs) for jobs in (1, 2, 4)]
+    for X, y in results[1:]:
+        np.testing.assert_array_equal(results[0][0], X)
+        np.testing.assert_array_equal(results[0][1], y)
 
 
 def test_backward_pass_structure_and_determinism():
@@ -146,11 +148,10 @@ def test_stage_models_respect_clip_bound():
         assert np.all(np.abs(preds) <= stack.models[t].clip_bound + 1e-12)
 
 
-def test_stack_value_at_terminal_and_cemetery():
+def test_stack_stage_fn_at_terminal_is_payoff():
     run = small_run()
     stack = backward_pass(run)
-    assert stack.value_at(3, [100.0, 81.0]) == pytest.approx(10.0, rel=1e-12)
-    assert stack.value_at(1, CEMETERY) == 0.0
+    assert stack.stage_fn(3)(np.array([[100.0, 81.0]]))[0] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_price_at_origin_dominates_immediate_exercise_and_is_deterministic():
@@ -159,7 +160,7 @@ def test_price_at_origin_dominates_immediate_exercise_and_is_deterministic():
     p1 = price_at_origin(stack, 2000, substream(run.seed, 2))
     p2 = price_at_origin(stack, 2000, substream(run.seed, 2))
     assert p1 == p2
-    assert p1 >= payoff_value(run.payoff, run.params.x0)
+    assert p1 >= payoff_batch(run.payoff, run.params.x0[None])[0]
     assert 0.0 < p1 < 100.0
 
 

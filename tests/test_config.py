@@ -106,6 +106,15 @@ def test_with_lengthscale_fixes_all_stages():
         ({**BASE, "typo.key": "1"}, "unknown field"),
         ({**BASE, "contract.steps": "0"}, "steps"),
         ({**BASE, "market.d": "two"}, "market.d"),
+        ({**BASE, "market.d": "0"}, "market.d"),
+        ({**BASE, "eval_M": "0"}, "eval_M"),
+        ({**BASE, "lb_paths": "0"}, "lb_paths"),
+        ({**BASE, "market.x0": "inf"}, "x0"),
+        ({**BASE, "market.r": "inf"}, "r must be finite"),
+        ({**BASE, "market.sigma": "nan"}, "sigma"),
+        ({**BASE, "contract.strike": "inf"}, "strike"),
+        ({**BASE, "contract.maturity": "inf"}, "maturity"),
+        ({**BASE, "stage.lambda": "nan"}, "lambda"),
     ],
 )
 def test_invalid_configs_raise(entries, match):

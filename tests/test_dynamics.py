@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from krrdp import dynamics
-from krrdp.dynamics import (
-    CEMETERY,
-    GbmParams,
-    correlate,
-    gbm_step,
-    is_cemetery,
-    sample_mu_t,
-    substream,
-    transition,
-)
+from krrdp.dynamics import GbmParams, correlate, gbm_step, sample_mu_t, substream
 
 
 def make_params(d=2, rho_off=0.2, dt=1.0 / 9.0, sigma=0.2):
@@ -107,20 +98,6 @@ def test_log_return_moments_and_correlation():
     assert abs(corr - 0.2) <= 3 / math.sqrt(n)
 
 
-def test_cemetery_is_absorbing_and_unique():
-    params = make_params()
-    assert is_cemetery(CEMETERY)
-    assert not is_cemetery(params.x0)
-    z = np.zeros(2)
-    assert transition(CEMETERY, 1, params, z) is CEMETERY
-    assert transition(CEMETERY, 0, params, z) is CEMETERY
-    assert transition(params.x0, 0, params, z) is CEMETERY
-    held = transition(params.x0, 1, params, z)
-    assert not is_cemetery(held)
-    with pytest.raises(ValueError):
-        transition(params.x0, 2, params, z)
-
-
 def test_sample_mu_t_shapes_and_t0_point_mass():
     params = make_params()
     X0 = sample_mu_t(params, 0, 5, substream(0, 0))
@@ -145,6 +122,6 @@ def test_substream_determinism_and_independence():
 
 
 def test_purpose_constants_are_distinct():
-    purposes = [dynamics.OUTER, dynamics.INNER, dynamics.EVAL,
-                dynamics.LOWER, dynamics.REP, dynamics.SELECT]
+    purposes = [dynamics.OUTER, dynamics.INNER, dynamics.EVAL, dynamics.LOWER, dynamics.REP,
+                dynamics.SELECT, dynamics.FOLDS, dynamics.DIAG, dynamics.NYSTROM]
     assert len(set(purposes)) == len(purposes)

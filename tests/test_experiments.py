@@ -6,6 +6,7 @@ import pytest
 
 from krrdp import experiments
 from krrdp.config import build_run_config
+from krrdp.dynamics import REP
 from krrdp.experiments import (
     emit_results,
     mc_error_diagnostic,
@@ -53,7 +54,7 @@ def test_repetitions_use_distinct_seeds():
     cfg = tiny_config()
     res = run_benchmark(cfg)
     assert len(set(res.per_rep_prices)) == len(res.per_rep_prices)
-    assert experiments._rep_seed(11, 0) != experiments._rep_seed(11, 1)
+    assert experiments._child_seed(11, REP, 0) != experiments._child_seed(11, REP, 1)
 
 
 def test_lower_bound_attached_when_requested():

@@ -11,28 +11,38 @@ from krrdp.kernels import FitError, KernelSpec, KrrModel
 SPEC = KernelSpec(lengthscale=5.0)
 
 
-def test_rbf_kernel_at_zero_distance_is_one():
-    assert kernels.rbf_kernel([1.0, 2.0], [1.0, 2.0], SPEC) == 1.0
-
-
-def test_rbf_kernel_hand_value():
+def test_rbf_gram_hand_value():
     # ||(0,0)-(3,4)|| = 5, lengthscale 5 -> exp(-25 / 50) = exp(-1/2)
-    val = kernels.rbf_kernel([0.0, 0.0], [3.0, 4.0], SPEC)
-    assert val == pytest.approx(math.exp(-0.5), rel=1e-12)
+    G = kernels.gram_matrix([[0.0, 0.0]], [[3.0, 4.0]], SPEC)
+    assert G[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
-def test_rbf_kernel_symmetry_and_bounds():
+def test_rbf_gram_symmetry_and_bounds():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        x, y = rng.normal(size=3), rng.normal(size=3)
-        kxy = kernels.rbf_kernel(x, y, SPEC)
-        assert kxy == pytest.approx(kernels.rbf_kernel(y, x, SPEC), rel=1e-14)
-        assert 0.0 < kxy <= 1.0
+    X, Y = rng.normal(size=(20, 3)), rng.normal(size=(20, 3))
+    G = kernels.gram_matrix(X, Y, SPEC)
+    np.testing.assert_allclose(G, kernels.gram_matrix(Y, X, SPEC).T, rtol=1e-14)
+    assert np.all((G > 0.0) & (G <= 1.0))
 
 
-def test_rbf_kernel_dimension_mismatch():
+def test_gram_matrix_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        kernels.rbf_kernel([1.0], [1.0, 2.0], SPEC)
+        kernels.gram_matrix([[1.0]], [[1.0, 2.0]], SPEC)
+
+
+def test_gram_accepts_non_contiguous_input():
+    big = np.random.default_rng(3).normal(size=(20, 8))
+    X = big[::2, ::2]  # non-contiguous view
+    np.testing.assert_allclose(np.diag(kernels.gram_matrix(X, X, SPEC)), 1.0)
+
+
+def test_predict_chunking_consistent():
+    # 5000 rows against 1000 centres span two 2**22-element chunks
+    rng = np.random.default_rng(2)
+    model = kernels.krr_fit(rng.normal(size=(1000, 2)), rng.normal(size=1000), 1e-3, SPEC)
+    X = rng.normal(size=(5000, 2))
+    direct = kernels.gram_matrix(X, model.centers, SPEC) @ model.coefficients
+    np.testing.assert_allclose(kernels.predict_batch(model, X), direct, rtol=1e-12, atol=1e-12)
 
 
 def test_kernel_spec_validation():
@@ -62,9 +72,10 @@ def test_krr_single_point_hand_solution():
     # G = [[1]]; (1 + lam*1) alpha = y  ->  alpha = 3 / 1.5 = 2
     model = kernels.krr_fit([[2.0]], [3.0], 0.5, SPEC)
     assert model.coefficients[0] == pytest.approx(2.0, rel=1e-12)
-    assert kernels.predict(model, [2.0]) == pytest.approx(2.0, rel=1e-12)
+    near, far = kernels.predict_batch(model, [[2.0], [200.0]])
+    assert near == pytest.approx(2.0, rel=1e-12)
     # far from the single center the prediction decays toward 0
-    assert abs(kernels.predict(model, [200.0])) < 1e-10
+    assert abs(far) < 1e-10
 
 
 def test_krr_interpolation_limit():
@@ -91,7 +102,8 @@ def test_krr_regularization_shrinks_predictions():
     y = np.array([1.0, 1.0])
     small = kernels.krr_fit(X, y, 1e-8, SPEC)
     big = kernels.krr_fit(X, y, 10.0, SPEC)
-    assert abs(kernels.predict(big, [0.5])) < abs(kernels.predict(small, [0.5]))
+    at_half = [[0.5]]
+    assert abs(kernels.predict_batch(big, at_half)[0]) < abs(kernels.predict_batch(small, at_half)[0])
 
 
 def test_krr_input_validation():
@@ -156,7 +168,7 @@ def test_constant_model_predicts_constant_everywhere():
     np.testing.assert_allclose(
         kernels.predict_batch(model, np.random.default_rng(0).normal(size=(7, 3))), 3.5
     )
-    assert kernels.clipped_predict(model, [0.0, 0.0, 0.0]) == 3.5
+    assert kernels.clipped_predict_batch(model, [[0.0, 0.0, 0.0]])[0] == 3.5
 
 
 def test_with_clip_validation_and_predict_requires_bound():
@@ -164,13 +176,13 @@ def test_with_clip_validation_and_predict_requires_bound():
     with pytest.raises(ValueError):
         kernels.with_clip(model, 0.0)
     with pytest.raises(ValueError, match="clip bound"):
-        kernels.clipped_predict(model, [0.0])
+        kernels.clipped_predict_batch(model, [[0.0]])
 
 
 def test_clipping_respects_bound():
     model = kernels.with_clip(kernels.krr_fit([[0.0]], [10.0], 0.0, SPEC), 2.0)
-    assert kernels.clipped_predict(model, [0.0]) == 2.0
-    assert kernels.predict(model, [0.0]) == pytest.approx(10.0, rel=1e-10)
+    assert kernels.clipped_predict_batch(model, [[0.0]])[0] == 2.0
+    assert kernels.predict_batch(model, [[0.0]])[0] == pytest.approx(10.0, rel=1e-10)
 
 
 @given(st.floats(-1e6, 1e6), st.floats(min_value=1e-6, max_value=1e6))

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from krrdp.dynamics import CEMETERY
-from krrdp.payoffs import (
-    PayoffSpec,
-    geo_basket_put,
-    max_call,
-    payoff_batch,
-    payoff_value,
-    stage_reward,
-)
+from krrdp.payoffs import PayoffSpec, payoff_batch
 
 
 CALL = PayoffSpec(kind="max_call", strike=100.0)
@@ -24,29 +16,25 @@ def test_spec_validation():
 
 
 def test_max_call_hand_values():
-    assert max_call([90.0, 110.0], 100.0) == 10.0
-    assert max_call([90.0, 95.0], 100.0) == 0.0
-    assert max_call([100.0], 100.0) == 0.0
+    np.testing.assert_array_equal(payoff_batch(CALL, [[90.0, 110.0], [90.0, 95.0]]), [10.0, 0.0])
+    assert payoff_batch(CALL, [[100.0]])[0] == 0.0
 
 
 def test_geo_basket_put_hand_values():
     # geometric mean of (100, 81) with log-average: sqrt(8100) = 90
-    assert geo_basket_put([100.0, 81.0], 100.0) == pytest.approx(10.0, rel=1e-12)
-    assert geo_basket_put([120.0, 120.0], 100.0) == 0.0
-
-
-def test_payoff_value_cemetery_is_zero():
-    assert payoff_value(CALL, CEMETERY) == 0.0
-    assert payoff_value(PUT, CEMETERY) == 0.0
+    out = payoff_batch(PUT, [[100.0, 81.0], [120.0, 120.0]])
+    assert out[0] == pytest.approx(10.0, rel=1e-12)
+    assert out[1] == 0.0
 
 
 def test_payoff_batch_matches_scalar():
     rng = np.random.default_rng(0)
     X = rng.uniform(50, 150, size=(30, 3))
-    for spec in (CALL, PUT):
+    call = [max(max(x) - 100.0, 0.0) for x in X]
+    put = [max(100.0 - float(np.prod(x)) ** (1.0 / 3.0), 0.0) for x in X]
+    for spec, scalar in ((CALL, call), (PUT, put)):
         batch = payoff_batch(spec, X)
-        scalar = [payoff_value(spec, x) for x in X]
-        np.testing.assert_allclose(batch, scalar, rtol=1e-12)
+        np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-12)
         assert np.all(batch >= 0)
 
 
@@ -54,11 +42,3 @@ def test_payoff_batch_accepts_1d_for_single_asset():
     out = payoff_batch(PayoffSpec(kind="max_call", strike=100.0), np.array([90.0, 110.0]))
     np.testing.assert_allclose(out, [0.0, 10.0])
 
-
-def test_stage_reward():
-    x = np.array([110.0, 90.0])
-    assert stage_reward(x, 0, 3, CALL) == 10.0
-    assert stage_reward(x, 1, 3, CALL) == 0.0
-    assert stage_reward(CEMETERY, 0, 3, CALL) == 0.0
-    with pytest.raises(ValueError):
-        stage_reward(x, 2, 3, CALL)
