@@ -1,9 +1,9 @@
 """Backward induction: empirical Bellman targets, stagewise KRR fits, pricing.
 
-Stage models approximate the value functions V_t for t = 0..T-1 (V_T is the
-known terminal payoff). All randomness is drawn from counter-based substreams
-keyed by (seed, purpose, stage, point index), so target generation is
-order-independent under parallel execution.
+Stage models approximate the value functions V_t for t = 1..T-1 (V_T is the
+known terminal payoff; V_0 is needed only at x0, where ``price_at_origin``
+estimates it). All randomness is drawn from counter-based substreams keyed by
+(seed, purpose, stage, point index), so target generation is order-independent.
 """
 
 import json
@@ -28,7 +28,7 @@ NYSTROM_AUTO_THRESHOLD = 2000
 # --jobs.
 TARGET_BLOCKS = 8
 
-STACK_FORMAT_VERSION = 1
+STACK_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,26 @@ class StageConfig:
             raise ValueError("lambda must be nonnegative and finite")
         if not 0 < self.beta <= 1:
             raise ValueError("beta must lie in (0, 1]")
+        if self.nystrom_m is not None and self.nystrom_m < 1:
+            raise ValueError("nystrom_m must be at least 1")
+        if self.clip_override is not None and not 0 < self.clip_override < math.inf:
+            raise ValueError("clip must be positive and finite")
 
 
 @dataclass
 class ValueFunctionStack:
+    """Stage models V_1..V_{T-1} and the terminal payoff V_T; t = 0 has no model."""
+
     payoff: PayoffSpec
-    models: list  # KrrModel per stage t = 0..T-1
+    models: list  # KrrModel per stage t = 1..T-1; None at t = 0
     params: GbmParams
     horizon: int
-    timings: list = field(default_factory=list)  # seconds per fitted stage
+    timings: list = field(default_factory=list)  # seconds per stage; 0.0 at t = 0
 
     def stage_fn(self, t):
-        """Batch evaluator of the stage-t value approximant (payoff at t=T)."""
+        """Batch evaluator of the stage-t value approximant (payoff at t=T), 1 <= t <= T."""
+        if not 1 <= t <= self.horizon:
+            raise ValueError(f"no stage model at t={t}; stages run 1..{self.horizon}")
         if t == self.horizon:
             return lambda X: payoff_batch(self.payoff, X)
         model = self.models[t]
@@ -108,7 +116,7 @@ def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1):
 
 def _fit_stage(X, y, cfg, seed, t):
     clip = cfg.clip_override if cfg.clip_override is not None else float(np.max(np.abs(y)))
-    if clip == 0.0 or np.ptp(y) == 0.0:
+    if np.ptp(y) == 0.0:
         return kernels.constant_model(y[0], cfg.kernel, cfg.lam, clip_bound=max(clip, 1e-300))
     m = cfg.nystrom_m
     if m is None and cfg.n > NYSTROM_AUTO_THRESHOLD:
@@ -121,28 +129,21 @@ def _fit_stage(X, y, cfg, seed, t):
 
 
 def backward_pass(run, n_jobs=1):
-    """Fit the full stack of stage value models for t = T-1 down to 0.
+    """Fit the stage value models for t = T-1 down to 1.
 
-    Stage 0 is a point mass at x0, so its "fit" is the exact degenerate KRR
-    solution at a single atom: the shrunk target mean, stored as a constant
-    model. A fresh large-MC re-evaluation is done by ``price_at_origin``.
+    Stage 0 is the point mass at x0, so it has no regression: its one value,
+    the time-0 price, is ``price_at_origin``'s fresh evaluation at x0.
     """
     params, T, seed = run.params, run.steps, run.seed
     stack = ValueFunctionStack(payoff=run.payoff, models=[None] * T, params=params,
                                horizon=T, timings=[0.0] * T)
-    for t in range(T - 1, -1, -1):
+    for t in range(T - 1, 0, -1):
         cfg = run.stages[t]
         tic = time.perf_counter()
         try:
             X, y = generate_stage_data(t, cfg, stack.stage_fn(t + 1), params, run.payoff,
                                        seed, n_jobs)
-            if t == 0:
-                clip = float(np.max(np.abs(y)))
-                value = float(np.mean(y)) / (1.0 + cfg.lam)
-                model = kernels.constant_model(value, cfg.kernel, cfg.lam,
-                                               clip_bound=max(clip, 1e-300))
-            else:
-                model = _fit_stage(X, y, cfg, seed, t)
+            model = _fit_stage(X, y, cfg, seed, t)
         except kernels.FitError as exc:
             raise kernels.FitError(f"stage {t}: {exc}") from exc
         stack.timings[t] = time.perf_counter() - tic
@@ -224,7 +225,7 @@ def contraction_check(f, g, t, n_eval, M, params, payoff, rng):
 
 
 def save_stack(stack, path):
-    """Versioned npz serialization; predictions round-trip bit-exactly."""
+    """Versioned npz serialization of stages 1..T-1; predictions round-trip bit-exactly."""
     header = {
         "version": STACK_FORMAT_VERSION,
         "d": stack.params.d,
@@ -241,7 +242,7 @@ def save_stack(stack, path):
         "x0": stack.params.x0,
         "timings": np.asarray(stack.timings),
     }
-    for t, m in enumerate(stack.models):
+    for t, m in enumerate(stack.models[1:], start=1):
         arrays[f"centers_{t}"] = m.centers
         arrays[f"coef_{t}"] = m.coefficients
         arrays[f"meta_{t}"] = np.array([
@@ -262,8 +263,8 @@ def load_stack(path):
     params = GbmParams(d=header["d"], r=header["r"], sigma=data["sigma"],
                        rho=data["rho"], x0=data["x0"], dt=header["dt"])
     payoff = PayoffSpec(kind=header["payoff_kind"], strike=header["strike"])
-    models = []
-    for t in range(header["T"]):
+    models = [None]
+    for t in range(1, header["T"]):
         ls, lam, clip, const, is_const = data[f"meta_{t}"]
         spec = KernelSpec(lengthscale=float(ls))
         models.append(KrrModel(

@@ -1,7 +1,7 @@
 """Flat key-value run configuration: parsing, validation, defaults, hashing.
 
 Format: one ``dotted.key = value`` per line, ``#`` comments, blank lines
-ignored. Lists are comma-separated. Per-stage overrides use ``stage.<t>.<field>``.
+ignored. Lists are comma-separated. Stage t = 1..T-1 overrides use ``stage.<t>.<field>``.
 """
 
 import hashlib
@@ -37,6 +37,19 @@ INNER_MC_MULTIPLIER = 16
 
 class ConfigError(ValueError):
     pass
+
+
+# Stage settings: (key suffix, StageConfig field, cast). Each is read as
+# stage.<suffix> for every stage, then as stage.<t>.<suffix> for stage t >= 1.
+_STAGE_FIELDS = (
+    ("n", "n", int),
+    ("M", "M", int),
+    ("lambda", "lam", float),
+    ("beta", "beta", float),
+    ("nystrom_m", "nystrom_m", int),
+    ("clip", "clip_override", float),
+    ("lengthscale", "kernel", lambda v: KernelSpec(lengthscale=float(v))),
+)
 
 
 @dataclass(frozen=True)
@@ -136,28 +149,26 @@ def _floats(value):
     return [float(v) for v in value.split(",") if v.strip()]
 
 
-def _bool(value, key):
+def _bool(value):
     low = value.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"field '{key}': expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def build_run_config(entries):
     """Assemble and validate a RunConfig from a flat key-value mapping."""
     entries = dict(entries)
 
-    def take(key, default=None, cast=str):
+    def take(key, default=..., cast=str):
         if key in entries:
             try:
                 return cast(entries.pop(key))
-            except ConfigError:
-                raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"field '{key}': {exc}") from exc
-        if default is None:
+        if default is ...:
             raise ConfigError(f"missing required field '{key}'")
         return default
 
@@ -201,31 +212,18 @@ def build_run_config(entries):
     n_default, m_default = default_sample_sizes(d)
     ls_vals = take("stage.lengthscale", [default_lengthscale(d, payoff_kind)], _floats)
     grid = tuple(ls_vals) if len(ls_vals) > 1 else None
-    base = {
-        "n": take("stage.n", n_default, int),
-        "M": take("stage.M", m_default, int),
-        "lam": take("stage.lambda", DEFAULT_LAMBDA, float),
-        "beta": take("stage.beta", 1.0, float),
-        "kernel": KernelSpec(lengthscale=ls_vals[0]),
-        "nystrom_m": int(entries.pop("stage.nystrom_m")) if "stage.nystrom_m" in entries else None,
-        "clip_override": float(entries.pop("stage.clip")) if "stage.clip" in entries else None,
-    }
+
+    def stage_settings(prefix, defaults):
+        return {fld: take(prefix + key, defaults[fld], cast) for key, fld, cast in _STAGE_FIELDS}
+
+    # stage.lengthscale was taken above as the grid, so this pass keeps its first value.
+    base = stage_settings("stage.", {"n": n_default, "M": m_default, "lam": DEFAULT_LAMBDA,
+                                     "beta": 1.0, "nystrom_m": None, "clip_override": None,
+                                     "kernel": KernelSpec(lengthscale=ls_vals[0])})
     stages = []
     for t in range(steps):
-        kw = dict(base)
-        for fld, cast in (("n", int), ("M", int), ("lambda", float), ("beta", float),
-                          ("nystrom_m", int), ("clip", float), ("lengthscale", float)):
-            key = f"stage.{t}.{fld}"
-            if key in entries:
-                val = cast(entries.pop(key))
-                if fld == "lambda":
-                    kw["lam"] = val
-                elif fld == "clip":
-                    kw["clip_override"] = val
-                elif fld == "lengthscale":
-                    kw["kernel"] = KernelSpec(lengthscale=val)
-                else:
-                    kw[fld] = val
+        # Stage 0 has no fit, so stage.0.<field> is left over as an unknown field.
+        kw = stage_settings(f"stage.{t}.", base) if t else base
         try:
             stages.append(StageConfig(**kw))
         except ValueError as exc:
@@ -240,11 +238,11 @@ def build_run_config(entries):
         seed=take("seed", 20260823, int),
         repetitions=take("repetitions", 10, int),
         eval_M=take("eval_M", 100_000, int),
-        oracle=take("oracle", True, lambda v: _bool(v, "oracle")),
-        lower_bound=take("lower_bound", False, lambda v: _bool(v, "lower_bound")),
+        oracle=take("oracle", True, _bool),
+        lower_bound=take("lower_bound", False, _bool),
         lb_paths=take("lb_paths", 4000, int),
         lengthscale_grid=grid,
-        use_schedule=take("use_schedule", False, lambda v: _bool(v, "use_schedule")),
+        use_schedule=take("use_schedule", False, _bool),
     )
     if entries:
         raise ConfigError(f"unknown field '{next(iter(entries))}'")

@@ -29,8 +29,7 @@ class KrrModel:
     """Fitted kernel ridge regressor: f(x) = sum_i coef_i k(center_i, x).
 
     A constant model (``constant`` set, empty centers) is used for degenerate
-    stages where every training target coincides, or the training inputs
-    collapse to a single atom.
+    stages where every training target coincides.
     """
 
     centers: np.ndarray

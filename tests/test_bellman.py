@@ -127,15 +127,34 @@ def test_backward_pass_structure_and_determinism():
     stack2 = backward_pass(run)
     assert stack1.horizon == 3 and len(stack1.models) == 3
     assert len(stack1.timings) == 3 and all(t >= 0 for t in stack1.timings)
-    # stage 0 is the degenerate point-mass fit: a constant model
-    assert stack1.models[0].constant is not None
-    for t in range(3):
+    # stage 0 is the point mass at x0: no model, priced by price_at_origin
+    assert stack1.models[0] is None and stack1.timings[0] == 0.0
+    for t in range(1, 3):
         assert stack1.models[t].clip_bound is not None
         if stack1.models[t].constant is None:
             np.testing.assert_array_equal(stack1.models[t].coefficients,
                                           stack2.models[t].coefficients)
         else:
             assert stack1.models[t].constant == stack2.models[t].constant
+
+
+def test_backward_pass_fits_stages_above_zero_only(monkeypatch):
+    calls = []
+
+    def counting(t, *args, **kwargs):
+        calls.append(t)
+        return generate_stage_data(t, *args, **kwargs)
+
+    monkeypatch.setattr(bellman, "generate_stage_data", counting)
+    backward_pass(small_run(**{"contract.steps": "4"}))
+    assert calls == [3, 2, 1]
+
+
+def test_stack_stage_fn_rejects_stages_outside_one_to_horizon():
+    stack = backward_pass(small_run())
+    for t in (0, -1, 4):
+        with pytest.raises(ValueError, match="stage"):
+            stack.stage_fn(t)
 
 
 def test_stage_models_respect_clip_bound():
@@ -217,7 +236,8 @@ def test_stack_serialization_round_trip(tmp_path):
     assert loaded.payoff == stack.payoff
     rng = substream(0, 1)
     X = rng.uniform(50.0, 200.0, size=(200, 2))
-    for t in range(stack.horizon):
+    assert loaded.models[0] is None
+    for t in range(1, stack.horizon + 1):
         np.testing.assert_array_equal(stack.stage_fn(t)(X), loaded.stage_fn(t)(X))
 
 

@@ -115,6 +115,15 @@ def test_with_lengthscale_fixes_all_stages():
         ({**BASE, "contract.strike": "inf"}, "strike"),
         ({**BASE, "contract.maturity": "inf"}, "maturity"),
         ({**BASE, "stage.lambda": "nan"}, "lambda"),
+        ({**BASE, "stage.clip": "0"}, "clip"),
+        ({**BASE, "stage.clip": "-1"}, "clip"),
+        ({**BASE, "stage.clip": "nan"}, "clip"),
+        ({**BASE, "stage.clip": "x"}, "stage.clip"),
+        ({**BASE, "stage.nystrom_m": "0"}, "nystrom_m"),
+        ({**BASE, "stage.nystrom_m": "abc"}, "stage.nystrom_m"),
+        ({**BASE, "stage.1.n": "x"}, "stage.1.n"),
+        ({**BASE, "stage.2.clip": "0"}, "stage 2: clip"),
+        ({**BASE, "stage.0.n": "5"}, "unknown field 'stage.0.n'"),
     ],
 )
 def test_invalid_configs_raise(entries, match):
