@@ -28,7 +28,6 @@ from .experiments import (
     emit_results,
     mc_error_diagnostic,
     run_benchmark,
-    select_lengthscale,
 )
 from .kernels import KernelSpec, KrrModel, gram_matrix, krr_fit, nystrom_fit
 from .oracles import (

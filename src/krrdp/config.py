@@ -1,13 +1,14 @@
 """Flat key-value run configuration: parsing, validation, defaults, hashing.
 
 Format: one ``dotted.key = value`` per line, ``#`` comments, blank lines
-ignored. Lists are comma-separated. Stage t = 1..T-1 overrides use ``stage.<t>.<field>``.
+ignored. Lists are comma-separated. One ``stage.<field>`` setting applies to
+every fitted date.
 """
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,17 +17,13 @@ from .dynamics import GbmParams
 from .kernels import KernelSpec
 from .payoffs import PAYOFF_KINDS, PayoffSpec
 
-# Candidate grid for cross-validated lengthscale selection (the {40, 80} grid
-# read in the exp(-||x-y||^2 / l^2) normalization; our kernel uses
-# exp(-||x-y||^2 / (2 l^2)), hence the 1/sqrt(2) factor). Used when a config
-# supplies several stage.lengthscale values; the defaults below are fixed
-# because regression-MSE selection does not track pricing bias reliably.
-DEFAULT_LENGTHSCALE_GRID = (40.0 / math.sqrt(2.0), 80.0 / math.sqrt(2.0))
 DEFAULT_LAMBDA = 1e-6
 
 # Calibrated against the binomial-tree and least-squares Monte Carlo baselines:
 # the state cloud widens slowly with dimension (put), while the unbounded
-# max-call payoff needs a wider kernel to limit tail attenuation.
+# max-call payoff needs a wider kernel to limit tail attenuation. The put base
+# is 40 read in the exp(-||x-y||^2 / l^2) normalization; our kernel uses
+# exp(-||x-y||^2 / (2 l^2)), hence the 1/sqrt(2) factor.
 PUT_LENGTHSCALE_BASE = 40.0 / math.sqrt(2.0)
 MAX_CALL_LENGTHSCALE = 20.0 * math.sqrt(10.0)
 
@@ -39,8 +36,8 @@ class ConfigError(ValueError):
     pass
 
 
-# Stage settings: (key suffix, StageConfig field, cast). Each is read as
-# stage.<suffix> for every stage, then as stage.<t>.<suffix> for stage t >= 1.
+# Stage settings: (key suffix, StageConfig field, cast), each read as
+# stage.<suffix> and applied to every stage.
 _STAGE_FIELDS = (
     ("n", "n", int),
     ("M", "M", int),
@@ -65,8 +62,6 @@ class RunConfig:
     oracle: bool = True
     lower_bound: bool = False
     lb_paths: int = 4000
-    lengthscale_grid: tuple | None = None
-    use_schedule: bool = False
 
     def __post_init__(self):
         if self.steps < 1:
@@ -79,11 +74,6 @@ class RunConfig:
             raise ConfigError("eval_M must be at least 1")
         if self.lb_paths < 1:
             raise ConfigError("lb_paths must be at least 1")
-
-    def with_lengthscale(self, ls):
-        spec = KernelSpec(lengthscale=float(ls))
-        stages = tuple(replace(s, kernel=spec) for s in self.stages)
-        return replace(self, stages=stages, lengthscale_grid=None)
 
 
 def default_lengthscale(d, payoff_kind):
@@ -123,8 +113,6 @@ def config_hash(cfg):
         "seed": cfg.seed,
         "repetitions": cfg.repetitions,
         "eval_M": cfg.eval_M,
-        "lengthscale_grid": cfg.lengthscale_grid,
-        "use_schedule": cfg.use_schedule,
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -210,39 +198,27 @@ def build_run_config(entries):
         raise ConfigError(str(exc)) from exc
 
     n_default, m_default = default_sample_sizes(d)
-    ls_vals = take("stage.lengthscale", [default_lengthscale(d, payoff_kind)], _floats)
-    grid = tuple(ls_vals) if len(ls_vals) > 1 else None
-
-    def stage_settings(prefix, defaults):
-        return {fld: take(prefix + key, defaults[fld], cast) for key, fld, cast in _STAGE_FIELDS}
-
-    # stage.lengthscale was taken above as the grid, so this pass keeps its first value.
-    base = stage_settings("stage.", {"n": n_default, "M": m_default, "lam": DEFAULT_LAMBDA,
-                                     "beta": 1.0, "nystrom_m": None, "clip_override": None,
-                                     "kernel": KernelSpec(lengthscale=ls_vals[0])})
-    stages = []
-    for t in range(steps):
-        # Stage 0 has no fit, so stage.0.<field> is left over as an unknown field.
-        kw = stage_settings(f"stage.{t}.", base) if t else base
-        try:
-            stages.append(StageConfig(**kw))
-        except ValueError as exc:
-            raise ConfigError(f"stage {t}: {exc}") from exc
+    defaults = {"n": n_default, "M": m_default, "lam": DEFAULT_LAMBDA, "beta": 1.0,
+                "nystrom_m": None, "clip_override": None,
+                "kernel": KernelSpec(lengthscale=default_lengthscale(d, payoff_kind))}
+    settings = {fld: take("stage." + key, defaults[fld], cast) for key, fld, cast in _STAGE_FIELDS}
+    try:
+        stage = StageConfig(**settings)
+    except ValueError as exc:
+        raise ConfigError(f"stage settings: {exc}") from exc
 
     cfg = RunConfig(
         params=params,
         payoff=payoff,
         maturity=maturity,
         steps=steps,
-        stages=tuple(stages),
+        stages=(stage,) * steps,
         seed=take("seed", 20260823, int),
         repetitions=take("repetitions", 10, int),
         eval_M=take("eval_M", 100_000, int),
         oracle=take("oracle", True, _bool),
         lower_bound=take("lower_bound", False, _bool),
         lb_paths=take("lb_paths", 4000, int),
-        lengthscale_grid=grid,
-        use_schedule=take("use_schedule", False, _bool),
     )
     if entries:
         raise ConfigError(f"unknown field '{next(iter(entries))}'")

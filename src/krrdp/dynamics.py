@@ -16,8 +16,7 @@ INNER = 1   # inner MC for continuation values
 EVAL = 2    # fresh time-0 evaluation
 LOWER = 3   # lower-bound policy simulation
 REP = 4     # per-repetition root
-SELECT = 5  # lengthscale cross-validation: root of its stage data
-FOLDS = 6   # lengthscale cross-validation: fold permutation
+# Renumbering a purpose changes every draw made under it.
 DIAG = 7    # root of the inner-MC error diagnostic
 NYSTROM = 8  # Nystrom center subsample
 

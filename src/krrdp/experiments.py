@@ -6,9 +6,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import spearmanr
 
-from . import bellman, kernels, oracles
+from . import bellman, oracles
 from .config import config_hash
-from .dynamics import DIAG, EVAL, FOLDS, LOWER, OUTER, REP, SELECT, sample_mu_t, substream
+from .dynamics import DIAG, EVAL, LOWER, OUTER, REP, sample_mu_t, substream
 from .payoffs import GEO_BASKET_PUT, payoff_batch
 
 ORACLE_TREE_STEPS_PER_DATE = 1000
@@ -45,46 +45,8 @@ def oracle_price(cfg, tree_steps=None):
                                          tree_steps=tree_steps)
 
 
-def select_lengthscale(cfg, grid, n_jobs=1):
-    """Pick the lengthscale with lowest 5-fold CV error on the stage T-1 fit."""
-    t = cfg.steps - 1
-    stage = cfg.stages[t]
-    seed = _child_seed(cfg.seed, SELECT)
-    next_fn = lambda X: payoff_batch(cfg.payoff, X)
-    X, y = bellman.generate_stage_data(t, stage, next_fn, cfg.params, cfg.payoff,
-                                       seed, n_jobs)
-    order = substream(seed, FOLDS).permutation(stage.n)
-    folds = np.array_split(order, 5)
-    best_ls, best_err = None, math.inf
-    for ls in grid:
-        spec = kernels.KernelSpec(lengthscale=float(ls))
-        err = 0.0
-        for k in range(5):
-            val = folds[k]
-            trn = np.concatenate([folds[j] for j in range(5) if j != k])
-            model = kernels.krr_fit(X[trn], y[trn], stage.lam, spec)
-            pred = kernels.predict_batch(model, X[val])
-            err += float(np.mean((pred - y[val]) ** 2))
-        if err < best_err:
-            best_ls, best_err = float(ls), err
-    return best_ls
-
-
-def _apply_schedule(cfg):
-    stages = tuple(
-        replace(s, lam=lam, M=M)
-        for s in cfg.stages
-        for lam, M in [bellman.schedule_hyperparams(s.n, s.beta)]
-    )
-    return replace(cfg, stages=stages)
-
-
 def run_benchmark(cfg, n_jobs=1):
     """Repetitions x (backward pass + fresh origin evaluation), aggregated."""
-    if cfg.lengthscale_grid:
-        cfg = cfg.with_lengthscale(select_lengthscale(cfg, cfg.lengthscale_grid, n_jobs))
-    if cfg.use_schedule:
-        cfg = _apply_schedule(cfg)
     digest = config_hash(cfg)
     prices = []
     timings = np.zeros(cfg.steps)
@@ -136,14 +98,11 @@ def convergence_study(cfg, n_grid, reference=None, n_jobs=1, c_lambda=0.1, c_m=1
         reference = oracle_price(cfg)
     if reference is None:
         raise ValueError("no oracle available; pass an explicit reference price")
-    if cfg.lengthscale_grid:
-        cfg = cfg.with_lengthscale(select_lengthscale(cfg, cfg.lengthscale_grid, n_jobs))
     rows = []
     for n in n_grid:
         lam, M = bellman.schedule_hyperparams(n, cfg.stages[0].beta, c_lambda, c_m)
         stages = tuple(replace(s, n=int(n), M=M, lam=lam) for s in cfg.stages)
-        sub = replace(cfg, stages=stages, use_schedule=False,
-                      oracle=False, lower_bound=False)
+        sub = replace(cfg, stages=stages, oracle=False, lower_bound=False)
         res = run_benchmark(sub, n_jobs)
         errs = np.abs(np.asarray(res.per_rep_prices) - reference)
         stderr = float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else 0.0

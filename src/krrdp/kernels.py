@@ -20,8 +20,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind != "rbf":
             raise ValueError(f"unsupported kernel kind {self.kind!r}")
-        if not self.lengthscale > 0:
-            raise ValueError("lengthscale must be positive")
+        # _rbf_gram divides by lengthscale**2: the square must be finite and normal.
+        tiny = np.finfo(float).tiny
+        if not (self.lengthscale > 0 and tiny <= self.lengthscale * self.lengthscale < np.inf):
+            raise ValueError(f"lengthscale must be positive, its square finite and >= {tiny:.3g}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 from krrdp.config import (
     ConfigError,
     DEFAULT_LAMBDA,
-    DEFAULT_LENGTHSCALE_GRID,
+    PUT_LENGTHSCALE_BASE,
     build_run_config,
     config_hash,
     default_lengthscale,
@@ -45,9 +45,7 @@ def test_default_sample_sizes_interpolation():
 
 
 def test_default_lengthscale_payoff_aware():
-    assert default_lengthscale(2, "geo_basket_put") == pytest.approx(
-        DEFAULT_LENGTHSCALE_GRID[0]
-    )
+    assert default_lengthscale(2, "geo_basket_put") == pytest.approx(PUT_LENGTHSCALE_BASE)
     assert default_lengthscale(10, "geo_basket_put") > default_lengthscale(2, "geo_basket_put")
     assert default_lengthscale(2, "max_call") == default_lengthscale(10, "max_call")
     assert default_lengthscale(2, "max_call") > default_lengthscale(2, "geo_basket_put")
@@ -65,34 +63,17 @@ def test_scalar_broadcast_and_full_rho():
 
 
 def test_per_stage_override():
-    entries = dict(BASE)
-    entries["stage.n"] = "50"
-    entries["stage.3.n"] = "99"
-    entries["stage.3.lambda"] = "0.01"
-    entries["stage.3.lengthscale"] = "12.5"
+    # One stage.<field> setting reaches every date; stage.<t>.<field> is not a key.
+    entries = {**BASE, "stage.n": "50", "stage.M": "30", "stage.lambda": "0.01",
+               "stage.beta": "0.5", "stage.nystrom_m": "20", "stage.clip": "7",
+               "stage.lengthscale": "12.5"}
     cfg = build_run_config(entries)
-    assert cfg.stages[2].n == 50
-    assert cfg.stages[3].n == 99
-    assert cfg.stages[3].lam == 0.01
-    assert cfg.stages[3].kernel.lengthscale == 12.5
-    assert cfg.stages[4].lam == DEFAULT_LAMBDA
-
-
-def test_multi_value_lengthscale_becomes_grid():
-    entries = dict(BASE)
-    entries["stage.lengthscale"] = "30, 60"
-    cfg = build_run_config(entries)
-    assert cfg.lengthscale_grid == (30.0, 60.0)
-    single = dict(BASE)
-    single["stage.lengthscale"] = "45"
-    assert build_run_config(single).lengthscale_grid is None
-
-
-def test_with_lengthscale_fixes_all_stages():
-    cfg = build_run_config({**BASE, "stage.lengthscale": "30,60"})
-    fixed = cfg.with_lengthscale(42.0)
-    assert fixed.lengthscale_grid is None
-    assert all(s.kernel.lengthscale == 42.0 for s in fixed.stages)
+    assert len(cfg.stages) == cfg.steps
+    for s in cfg.stages:
+        assert (s.n, s.M, s.lam, s.beta, s.nystrom_m, s.clip_override, s.kernel.lengthscale) == (
+            50, 30, 0.01, 0.5, 20, 7.0, 12.5)
+    with pytest.raises(ConfigError, match="unknown field 'stage.3.n'"):
+        build_run_config({**BASE, "stage.3.n": "99"})
 
 
 @pytest.mark.parametrize(
@@ -122,8 +103,17 @@ def test_with_lengthscale_fixes_all_stages():
         ({**BASE, "stage.nystrom_m": "0"}, "nystrom_m"),
         ({**BASE, "stage.nystrom_m": "abc"}, "stage.nystrom_m"),
         ({**BASE, "stage.1.n": "x"}, "stage.1.n"),
-        ({**BASE, "stage.2.clip": "0"}, "stage 2: clip"),
+        ({**BASE, "stage.2.clip": "0"}, "unknown field 'stage.2.clip'"),
         ({**BASE, "stage.0.n": "5"}, "unknown field 'stage.0.n'"),
+        ({**BASE, "stage.lengthscale": "30,60"}, "stage.lengthscale"),
+        ({**BASE, "stage.lengthscale": "0"}, "stage.lengthscale"),
+        ({**BASE, "stage.lengthscale": ","}, "stage.lengthscale"),
+        ({**BASE, "stage.lengthscale": "30,-5"}, "stage.lengthscale"),
+        ({**BASE, "stage.lengthscale": "-1"}, "stage.lengthscale"),
+        ({**BASE, "stage.lengthscale": "nan"}, "stage.lengthscale"),
+        ({**BASE, "stage.lengthscale": "inf"}, "stage.lengthscale"),
+        ({**BASE, "stage.lengthscale": "1e200"}, "stage.lengthscale"),
+        ({**BASE, "stage.lengthscale": "1e-200"}, "stage.lengthscale"),
     ],
 )
 def test_invalid_configs_raise(entries, match):

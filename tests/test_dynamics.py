@@ -123,5 +123,5 @@ def test_substream_determinism_and_independence():
 
 def test_purpose_constants_are_distinct():
     purposes = [dynamics.OUTER, dynamics.INNER, dynamics.EVAL, dynamics.LOWER, dynamics.REP,
-                dynamics.SELECT, dynamics.FOLDS, dynamics.DIAG, dynamics.NYSTROM]
+                dynamics.DIAG, dynamics.NYSTROM]
     assert len(set(purposes)) == len(purposes)

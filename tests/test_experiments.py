@@ -3,17 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from krrdp import experiments
-from krrdp.config import build_run_config
+from krrdp.config import ConfigError, build_run_config
 from krrdp.dynamics import REP
 from krrdp.experiments import (
     emit_results,
     mc_error_diagnostic,
     oracle_price,
     run_benchmark,
-    select_lengthscale,
 )
+from krrdp.kernels import FitError
+from krrdp.payoffs import PAYOFF_KINDS
 
 
 def tiny_config(payoff="geo_basket_put", **overrides):
@@ -69,11 +71,43 @@ def test_oracle_only_for_geometric_put():
     assert put_oracle is not None
 
 
-def test_select_lengthscale_returns_grid_member_deterministically():
-    cfg = tiny_config(**{"stage.lengthscale": "10,30,60"})
-    a = select_lengthscale(cfg, cfg.lengthscale_grid)
-    b = select_lengthscale(cfg, cfg.lengthscale_grid)
-    assert a == b and a in (10.0, 30.0, 60.0)
+EXTREMES = ["0", "1e200", "-1e200", "1e300", "-1e300", "1e-200", "-1e-200",
+            "1e-300", "-1e-300", "inf", "-inf", "nan"]
+
+
+def mostly(valid):
+    """A valid value three times in four, else an extreme one."""
+    return st.integers(0, 3).flatmap(
+        lambda k: st.sampled_from(EXTREMES) if k == 0 else valid.map(repr))
+
+
+STAGE_SETTINGS = st.fixed_dictionaries(
+    {"contract.payoff": st.sampled_from(PAYOFF_KINDS)},
+    optional={
+        "stage.n": mostly(st.integers(1, 40)),
+        "stage.M": mostly(st.integers(1, 16)),
+        "stage.lambda": mostly(st.floats(1e-8, 1.0)),
+        "stage.clip": mostly(st.floats(1e-3, 1e3)),
+        "stage.lengthscale": mostly(st.floats(0.5, 200.0)),
+        "stage.nystrom_m": mostly(st.integers(1, 40)),
+    },
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(STAGE_SETTINGS)
+@example({"contract.payoff": "geo_basket_put", "stage.lengthscale": "1e300"})
+def test_config_that_builds_prices_finitely(stage_settings):
+    # quick.cfg's sizes: 3 dates, one repetition
+    try:
+        cfg = tiny_config(**{"repetitions": "1", "oracle": "false", **stage_settings})
+    except ConfigError:
+        return
+    try:
+        res = run_benchmark(cfg)
+    except FitError:
+        return
+    assert np.all(np.isfinite(res.per_rep_prices)) and math.isfinite(res.price_mean)
 
 
 def test_convergence_study_requires_reference_for_call():
