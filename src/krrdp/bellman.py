@@ -166,7 +166,9 @@ def policy_lower_bound(stack, paths, rng, inner_m=64):
     Any feasible rule prices at or below the optimum in expectation, so this
     is a downward-biased cross-check. Exercise at the first t where the
     immediate payoff is positive and at least the (small inner MC) estimated
-    continuation.
+    continuation; the continuation is evaluated on in-the-money paths only,
+    while the shocks are drawn for every alive path so the stream of draws
+    does not depend on how many are in the money.
     """
     if paths < 1:
         raise ValueError("paths must be at least 1")
@@ -180,8 +182,9 @@ def policy_lower_bound(stack, paths, rng, inner_m=64):
             break
         C = payoff_batch(payoff, x)
         z = rng.standard_normal((x.shape[0], inner_m, d))
-        cont = continuation(x, stack.stage_fn(t + 1), z, params).mean(axis=1)
-        stop = (C > 0) & (C >= cont)
+        stop = C > 0
+        cont = continuation(x[stop], stack.stage_fn(t + 1), z[stop], params).mean(axis=1)
+        stop[stop] = C[stop] >= cont
         value[alive[stop]] = C[stop] * math.exp(-r * t * dt)
         keep = ~stop
         alive = alive[keep]

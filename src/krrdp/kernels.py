@@ -53,11 +53,20 @@ def _as_matrix(X):
     return X
 
 
-def _rbf_gram(X, Y, lengthscale):
-    sq = np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
-    sq -= 2.0 * (X @ Y.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(sq * (-0.5 / lengthscale**2))
+def _rbf_gram(X, Y, lengthscale, out=None):
+    """RBF block exp(-||x - y||^2 / (2 l^2)) for (n, d) X and (m, d) Y, built in place.
+
+    The GEMM writes -2 X Y' into ``out`` (a C-contiguous (n, m) buffer, or a
+    new array), and the squared norms, the clamp at 0, the scale and the exp
+    each update that one array, so no (n, m) temporary is made.
+    """
+    G = np.matmul(X, -2.0 * Y.T, out=out)
+    G += np.sum(X * X, axis=1)[:, None]
+    G += np.sum(Y * Y, axis=1)
+    np.maximum(G, 0.0, out=G)
+    G *= -0.5 / lengthscale**2
+    np.exp(G, out=G)
+    return G
 
 
 def gram_matrix(X, Y, spec):
@@ -139,7 +148,12 @@ def with_clip(model, bound):
 
 
 def predict_batch(model, X):
-    """Kernel expansion sum_j coef_j k(c_j, x_i) for a batch X (n, d)."""
+    """Kernel expansion sum_j coef_j k(c_j, x_i) for a batch X (n, d).
+
+    Rows go through ``_rbf_gram`` in blocks of at most 2**16 kernel values
+    (512 KiB, so a block stays in cache through its in-place passes), each
+    written into one buffer allocated per call and reduced by one GEMV.
+    """
     X = _as_matrix(X)
     n = X.shape[0]
     if model.constant is not None:
@@ -147,12 +161,13 @@ def predict_batch(model, X):
     centers = model.centers
     if X.shape[1] != centers.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {centers.shape[1]}")
-    # Chunked so big evaluation batches never materialize a huge Gram block.
     out = np.empty(n)
-    step = max(1, 2**22 // max(1, centers.shape[0]))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        out[lo:hi] = _rbf_gram(X[lo:hi], centers, model.kernel.lengthscale) @ model.coefficients
+    rows = max(1, 2**16 // max(1, len(centers)))
+    buf = np.empty((min(rows, n), len(centers)))
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        out[lo:hi] = _rbf_gram(X[lo:hi], centers, model.kernel.lengthscale,
+                               out=buf[:hi - lo]) @ model.coefficients
     return out
 
 

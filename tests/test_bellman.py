@@ -201,6 +201,51 @@ def test_policy_lower_bound_basic_properties():
         policy_lower_bound(stack, 0, substream(run.seed, 3))
 
 
+def _all_paths_lower_bound(stack, paths, rng, inner_m=64):
+    # Reference rule: the continuation on every alive path, in the money or not.
+    params, payoff, T = stack.params, stack.payoff, stack.horizon
+    x = np.tile(params.x0, (paths, 1))
+    alive = np.arange(paths)
+    value = np.zeros(paths)
+    for t in range(T):
+        if alive.size == 0:
+            break
+        C = payoff_batch(payoff, x)
+        z = rng.standard_normal((x.shape[0], inner_m, params.d))
+        cont = continuation(x, stack.stage_fn(t + 1), z, params).mean(axis=1)
+        stop = (C > 0) & (C >= cont)
+        value[alive[stop]] = C[stop] * math.exp(-params.r * t * params.dt)
+        alive, x = alive[~stop], x[~stop]
+        if alive.size:
+            x = gbm_step(x, params, rng.standard_normal((alive.size, params.d)))
+    if alive.size:
+        value[alive] = payoff_batch(payoff, x) * math.exp(-params.r * T * params.dt)
+    return float(value.mean()), float(value.std(ddof=1) / math.sqrt(paths))
+
+
+@pytest.mark.parametrize("payoff", ["geo_basket_put", "max_call"])
+def test_policy_lower_bound_equals_all_paths_rule(payoff):
+    run = small_run(payoff, **{"contract.steps": "4"})
+    stack = backward_pass(run)
+    assert (policy_lower_bound(stack, 400, substream(run.seed, 3))
+            == _all_paths_lower_bound(stack, 400, substream(run.seed, 3)))
+
+
+def test_policy_lower_bound_skips_continuation_out_of_the_money(monkeypatch):
+    # x0 = strike: nothing is in the money at t = 0, so no next state is evaluated
+    states = []
+
+    def counting(X, next_fn, Z, params):
+        states.append(Z.shape[0] * Z.shape[1])
+        return continuation(X, next_fn, Z, params)
+
+    run = small_run()
+    stack = backward_pass(run)
+    monkeypatch.setattr(bellman, "continuation", counting)
+    policy_lower_bound(stack, 300, substream(run.seed, 3), inner_m=8)
+    assert len(states) == run.steps and states[0] == 0
+
+
 def test_schedule_hyperparams_hand_values():
     lam, M = schedule_hyperparams(100, 1.0)
     assert lam == pytest.approx(0.1, rel=1e-12)

@@ -37,12 +37,42 @@ def test_gram_accepts_non_contiguous_input():
 
 
 def test_predict_chunking_consistent():
-    # 5000 rows against 1000 centres span two 2**22-element chunks
+    # 5000 rows against 1000 centres: 65-row blocks of 2**16 kernel values,
+    # 76 whole blocks and a ragged 60-row tail
     rng = np.random.default_rng(2)
     model = kernels.krr_fit(rng.normal(size=(1000, 2)), rng.normal(size=1000), 1e-3, SPEC)
     X = rng.normal(size=(5000, 2))
     direct = kernels.gram_matrix(X, model.centers, SPEC) @ model.coefficients
     np.testing.assert_allclose(kernels.predict_batch(model, X), direct, rtol=1e-12, atol=1e-12)
+
+
+def test_predict_empty_and_1d_batches():
+    model = kernels.krr_fit([[0.0], [1.0], [3.0]], [1.0, 2.0, 0.5], 1e-3, SPEC)
+    assert kernels.predict_batch(model, np.empty((0, 1))).shape == (0,)
+    x = np.array([0.5, 2.0, -4.0])
+    np.testing.assert_array_equal(kernels.predict_batch(model, x),
+                                  kernels.predict_batch(model, x[:, None]))
+
+
+def test_predict_with_more_centers_than_a_block_holds():
+    # 2**16 + 5 centres: each block is a single row
+    rng = np.random.default_rng(6)
+    centers = rng.normal(size=(2**16 + 5, 2))
+    model = KrrModel(centers=centers, coefficients=rng.normal(size=len(centers)),
+                     kernel=SPEC, lam=0.0)
+    X = rng.normal(size=(3, 2))
+    direct = kernels.gram_matrix(X, centers, SPEC) @ model.coefficients
+    np.testing.assert_allclose(kernels.predict_batch(model, X), direct, rtol=1e-12, atol=1e-12)
+
+
+def test_rbf_gram_fills_out_as_gram_matrix_allocates():
+    rng = np.random.default_rng(7)
+    X, Y = rng.normal(size=(30, 3)), rng.normal(size=(20, 3))
+    buf = np.full((40, 20), np.nan)
+    G = kernels._rbf_gram(X, Y, SPEC.lengthscale, out=buf[:30])
+    assert np.shares_memory(G, buf) and G.shape == (30, 20)
+    np.testing.assert_array_equal(G, kernels.gram_matrix(X, Y, SPEC))
+    assert np.isnan(buf[30:]).all()
 
 
 def test_kernel_spec_validation():
