@@ -28,7 +28,7 @@ NYSTROM_AUTO_THRESHOLD = 2000
 # --jobs.
 TARGET_BLOCKS = 8
 
-STACK_FORMAT_VERSION = 2
+STACK_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class StageConfig:
     M: int
     lam: float
     kernel: KernelSpec
-    beta: float = 1.0
     nystrom_m: int | None = None
     clip_override: float | None = None
 
@@ -46,8 +45,6 @@ class StageConfig:
             raise ValueError("n and M must be at least 1")
         if not 0 <= self.lam < math.inf:
             raise ValueError("lambda must be nonnegative and finite")
-        if not 0 < self.beta <= 1:
-            raise ValueError("beta must lie in (0, 1]")
         if self.nystrom_m is not None and self.nystrom_m < 1:
             raise ValueError("nystrom_m must be at least 1")
         if self.clip_override is not None and not 0 < self.clip_override < math.inf:
@@ -62,7 +59,7 @@ class ValueFunctionStack:
     models: list  # KrrModel per stage t = 1..T-1; None at t = 0
     params: GbmParams
     horizon: int
-    timings: list = field(default_factory=list)  # seconds per stage; 0.0 at t = 0
+    timings: list = field(default_factory=list)  # seconds per stage, 0.0 at t = 0; not saved
 
     def stage_fn(self, t):
         """Batch evaluator of the stage-t value approximant (payoff at t=T), 1 <= t <= T."""
@@ -197,8 +194,11 @@ def policy_lower_bound(stack, paths, rng, inner_m=64):
     return float(value.mean()), stderr
 
 
-def schedule_hyperparams(n, beta, c_lambda=1.0, c_m=1.0):
-    """Rate-optimal stage settings: lambda ~ n^{-1/(beta+1)}, M ~ n^{beta/(beta+1)}."""
+def schedule_hyperparams(n, beta=1.0, c_lambda=1.0, c_m=1.0):
+    """Rate-optimal stage settings: lambda ~ n^{-1/(beta+1)}, M ~ n^{beta/(beta+1)}.
+
+    beta in (0, 1] is the source-condition exponent of the target value function.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 < beta <= 1:
@@ -243,7 +243,6 @@ def save_stack(stack, path):
         "sigma": stack.params.sigma,
         "rho": stack.params.rho,
         "x0": stack.params.x0,
-        "timings": np.asarray(stack.timings),
     }
     for t, m in enumerate(stack.models[1:], start=1):
         arrays[f"centers_{t}"] = m.centers
@@ -278,5 +277,4 @@ def load_stack(path):
             clip_bound=None if np.isnan(clip) else float(clip),
             constant=float(const) if is_const == 1.0 else None,
         ))
-    return ValueFunctionStack(payoff=payoff, models=models, params=params,
-                              horizon=header["T"], timings=list(data["timings"]))
+    return ValueFunctionStack(payoff=payoff, models=models, params=params, horizon=header["T"])

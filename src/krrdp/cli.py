@@ -30,8 +30,6 @@ def cmd_price(args):
     cfg = _load(args)
     if args.reps is not None:
         cfg = replace(cfg, repetitions=args.reps)
-    if args.oracle:
-        cfg = replace(cfg, oracle=True)
     if args.lower_bound:
         cfg = replace(cfg, lower_bound=True)
     res = experiments.run_benchmark(cfg, n_jobs=args.jobs)
@@ -84,7 +82,6 @@ def main(argv=None):
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p.add_argument("--oracle", action="store_true")
     p.add_argument("--lower-bound", action="store_true")
     p.set_defaults(fn=cmd_price)
 

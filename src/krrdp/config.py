@@ -1,14 +1,14 @@
 """Flat key-value run configuration: parsing, validation, defaults, hashing.
 
-Format: one ``dotted.key = value`` per line, ``#`` comments, blank lines
-ignored. Lists are comma-separated. One ``stage.<field>`` setting applies to
+Format: one ``dotted.key = value`` per line, each key at most once, ``#``
+comments, blank lines ignored. Lists are comma-separated. One ``stage.<field>`` setting applies to
 every fitted date.
 """
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ _STAGE_FIELDS = (
     ("n", "n", int),
     ("M", "M", int),
     ("lambda", "lam", float),
-    ("beta", "beta", float),
     ("nystrom_m", "nystrom_m", int),
     ("clip", "clip_override", float),
     ("lengthscale", "kernel", lambda v: KernelSpec(lengthscale=float(v))),
@@ -59,9 +58,9 @@ class RunConfig:
     seed: int
     repetitions: int
     eval_M: int
-    oracle: bool = True
-    lower_bound: bool = False
-    lb_paths: int = 4000
+    oracle: bool
+    lower_bound: bool
+    lb_paths: int
 
     def __post_init__(self):
         if self.steps < 1:
@@ -94,31 +93,25 @@ def default_sample_sizes(d):
     return int(n), int(M)
 
 
+def _plain(value):
+    """``value`` as JSON data: dataclasses by their init fields, arrays and tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def config_hash(cfg):
-    payload = {
-        "d": cfg.params.d,
-        "r": cfg.params.r,
-        "sigma": cfg.params.sigma.tolist(),
-        "rho": cfg.params.rho.tolist(),
-        "x0": cfg.params.x0.tolist(),
-        "dt": cfg.params.dt,
-        "payoff": cfg.payoff.kind,
-        "strike": cfg.payoff.strike,
-        "maturity": cfg.maturity,
-        "steps": cfg.steps,
-        "stages": [
-            [s.n, s.M, s.lam, s.kernel.lengthscale, s.beta, s.nystrom_m, s.clip_override]
-            for s in cfg.stages
-        ],
-        "seed": cfg.seed,
-        "repetitions": cfg.repetitions,
-        "eval_M": cfg.eval_M,
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    """First 16 hex digits of the SHA-256 of every setting of a RunConfig."""
+    payload = json.dumps(_plain(cfg), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _parse_file(path):
-    entries = {}
+    entries, first_line = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -129,7 +122,10 @@ def _parse_file(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if not key or not value:
                 raise ConfigError(f"{path}:{lineno}: empty key or value")
-            entries[key] = value
+            if key in entries:
+                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}', "
+                                  f"first set on line {first_line[key]}")
+            entries[key], first_line[key] = value, lineno
     return entries
 
 
@@ -198,7 +194,7 @@ def build_run_config(entries):
         raise ConfigError(str(exc)) from exc
 
     n_default, m_default = default_sample_sizes(d)
-    defaults = {"n": n_default, "M": m_default, "lam": DEFAULT_LAMBDA, "beta": 1.0,
+    defaults = {"n": n_default, "M": m_default, "lam": DEFAULT_LAMBDA,
                 "nystrom_m": None, "clip_override": None,
                 "kernel": KernelSpec(lengthscale=default_lengthscale(d, payoff_kind))}
     settings = {fld: take("stage." + key, defaults[fld], cast) for key, fld, cast in _STAGE_FIELDS}

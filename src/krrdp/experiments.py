@@ -100,7 +100,7 @@ def convergence_study(cfg, n_grid, reference=None, n_jobs=1, c_lambda=0.1, c_m=1
         raise ValueError("no oracle available; pass an explicit reference price")
     rows = []
     for n in n_grid:
-        lam, M = bellman.schedule_hyperparams(n, cfg.stages[0].beta, c_lambda, c_m)
+        lam, M = bellman.schedule_hyperparams(n, c_lambda=c_lambda, c_m=c_m)
         stages = tuple(replace(s, n=int(n), M=M, lam=lam) for s in cfg.stages)
         sub = replace(cfg, stages=stages, oracle=False, lower_bound=False)
         res = run_benchmark(sub, n_jobs)

@@ -81,6 +81,14 @@ def test_bad_config_contents_error(tmp_path, capsys):
     assert err.startswith("error:") and "contract.payoff" in err
 
 
+def test_price_has_no_oracle_option(cfg_path, capsys):
+    # The oracle is the config key 'oracle', on by default.
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--config", cfg_path, "--oracle"])
+    assert exc.value.code == 2
+    assert "--oracle" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -65,13 +65,12 @@ def test_scalar_broadcast_and_full_rho():
 def test_per_stage_override():
     # One stage.<field> setting reaches every date; stage.<t>.<field> is not a key.
     entries = {**BASE, "stage.n": "50", "stage.M": "30", "stage.lambda": "0.01",
-               "stage.beta": "0.5", "stage.nystrom_m": "20", "stage.clip": "7",
-               "stage.lengthscale": "12.5"}
+               "stage.nystrom_m": "20", "stage.clip": "7", "stage.lengthscale": "12.5"}
     cfg = build_run_config(entries)
     assert len(cfg.stages) == cfg.steps
     for s in cfg.stages:
-        assert (s.n, s.M, s.lam, s.beta, s.nystrom_m, s.clip_override, s.kernel.lengthscale) == (
-            50, 30, 0.01, 0.5, 20, 7.0, 12.5)
+        assert (s.n, s.M, s.lam, s.nystrom_m, s.clip_override, s.kernel.lengthscale) == (
+            50, 30, 0.01, 20, 7.0, 12.5)
     with pytest.raises(ConfigError, match="unknown field 'stage.3.n'"):
         build_run_config({**BASE, "stage.3.n": "99"})
 
@@ -114,6 +113,7 @@ def test_per_stage_override():
         ({**BASE, "stage.lengthscale": "inf"}, "stage.lengthscale"),
         ({**BASE, "stage.lengthscale": "1e200"}, "stage.lengthscale"),
         ({**BASE, "stage.lengthscale": "1e-200"}, "stage.lengthscale"),
+        ({**BASE, "stage.beta": "0.5"}, "unknown field 'stage.beta'"),
     ],
 )
 def test_invalid_configs_raise(entries, match):
@@ -127,12 +127,40 @@ def test_build_does_not_mutate_input():
     assert entries == BASE
 
 
+# One changed value for every settable key, each away from BASE's value or default.
+CHANGED = {
+    "market.d": "3",
+    "market.r": "0.04",
+    "market.sigma": "0.25",
+    "market.rho": "0.3",
+    "market.x0": "90",
+    "contract.payoff": "max_call",
+    "contract.strike": "110",
+    "contract.maturity": "2",
+    "contract.steps": "5",
+    "stage.n": "50",
+    "stage.M": "30",
+    "stage.lambda": "0.01",
+    "stage.nystrom_m": "20",
+    "stage.clip": "7",
+    "stage.lengthscale": "12.5",
+    "seed": "999",
+    "repetitions": "3",
+    "eval_M": "500",
+    "oracle": "false",
+    "lower_bound": "true",
+    "lb_paths": "100",
+}
+
+
 def test_config_hash_stability_and_sensitivity():
     h1 = config_hash(build_run_config(BASE))
     h2 = config_hash(build_run_config(dict(BASE)))
     assert h1 == h2 and len(h1) == 16
-    h3 = config_hash(build_run_config({**BASE, "seed": "999"}))
-    assert h3 != h1
+    hashes = {key: config_hash(build_run_config({**BASE, key: value}))
+              for key, value in CHANGED.items()}
+    assert [key for key, h in hashes.items() if h == h1] == []
+    assert len(set(hashes.values())) == len(CHANGED)
 
 
 def test_load_config_file_parsing(tmp_path):
@@ -157,4 +185,12 @@ def test_load_config_reports_line_numbers(tmp_path):
         load_config(path)
     path.write_text("market.d =\n")
     with pytest.raises(ConfigError, match="empty"):
+        load_config(path)
+
+
+def test_load_config_rejects_a_duplicated_key(tmp_path):
+    path = tmp_path / "dup.cfg"
+    path.write_text("seed = 1\nmarket.d = 2\ncontract.payoff = geo_basket_put\n"
+                    "contract.strike = 100\nseed = 2\n")
+    with pytest.raises(ConfigError, match=r"dup.cfg:5: duplicate key 'seed', first set on line 1"):
         load_config(path)
