@@ -228,7 +228,10 @@ def contraction_check(f, g, t, n_eval, M, params, payoff, rng):
 
 
 def save_stack(stack, path):
-    """Versioned npz serialization of stages 1..T-1; predictions round-trip bit-exactly."""
+    """Versioned npz serialization of stages 1..T-1; predictions round-trip bit-exactly.
+
+    Writes exactly ``path``: ``np.savez`` given a file name would append ``.npz``.
+    """
     header = {
         "version": STACK_FORMAT_VERSION,
         "d": stack.params.d,
@@ -254,7 +257,8 @@ def save_stack(stack, path):
             m.constant if m.constant is not None else np.nan,
             1.0 if m.constant is not None else 0.0,
         ])
-    np.savez(path, **arrays)
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
 
 
 def load_stack(path):

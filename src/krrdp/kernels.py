@@ -1,9 +1,12 @@
 """Kernel evaluation, Gram matrices, and (clipped, optionally Nystrom) KRR."""
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+
+logger = logging.getLogger(__name__)
 
 
 class FitError(RuntimeError):
@@ -20,7 +23,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind != "rbf":
             raise ValueError(f"unsupported kernel kind {self.kind!r}")
-        # _rbf_gram divides by lengthscale**2: the square must be finite and normal.
+        # _rbf_gram scales by 1 / lengthscale**2: the square must be finite and normal.
         tiny = np.finfo(float).tiny
         if not (self.lengthscale > 0 and tiny <= self.lengthscale * self.lengthscale < np.inf):
             raise ValueError(f"lengthscale must be positive, its square finite and >= {tiny:.3g}")
@@ -53,18 +56,46 @@ def _as_matrix(X):
     return X
 
 
-def _rbf_gram(X, Y, lengthscale, out=None):
-    """RBF block exp(-||x - y||^2 / (2 l^2)) for (n, d) X and (m, d) Y, built in place.
+def _lift_centers(Y):
+    """Lifted centres for ``_rbf_gram``: their mean mu and the (d + 2, m) matrix.
 
-    The GEMM writes -2 X Y' into ``out`` (a C-contiguous (n, m) buffer, or a
-    new array), and the squared norms, the clamp at 0, the scale and the exp
-    each update that one array, so no (n, m) temporary is made.
+    Column j of the C-contiguous result is [y_j - mu, -||y_j - mu||^2 / 2, 1].
     """
-    G = np.matmul(X, -2.0 * Y.T, out=out)
-    G += np.sum(X * X, axis=1)[:, None]
-    G += np.sum(Y * Y, axis=1)
-    np.maximum(G, 0.0, out=G)
-    G *= -0.5 / lengthscale**2
+    m, d = Y.shape
+    mu = Y.sum(axis=0) / max(m, 1)
+    Yt = np.empty((d + 2, m))
+    np.subtract(Y.T, mu[:, None], out=Yt[:d])
+    np.einsum("ij,ij->j", Yt[:d], Yt[:d], out=Yt[d])
+    Yt[d] *= -0.5
+    Yt[d + 1] = 1.0
+    return mu, Yt
+
+
+def _rbf_gram(X, centers, lengthscale, out=None, lift=None):
+    """RBF block exp(-||x - y||^2 / (2 l^2)) for (n, d) X against lifted centres.
+
+    ``centers`` is ``_lift_centers(Y)`` for the (m, d) centres Y. Each row x is
+    lifted to [x - mu, 1, -||x - mu||^2 / 2] in ``lift`` (an (n, d + 2)
+    C-contiguous buffer, or a new array), so one GEMM writes the whole exponent
+    -||x - y||^2 / 2 into ``out`` (a C-contiguous (n, m) buffer, or a new
+    array). Shifting both sides by mu, the centres' mean, keeps the norms small
+    against the cross term, so cancellation costs less than with raw norms.
+    Three in-place passes on that one array follow: the clamp at 0, the scale
+    by 1/l^2 and the exp; no (n, m) temporary is made. The scale stays a pass
+    of its own: folded into the lift, ||x||^2 / l^2 would overflow to inf - inf
+    at lengthscales near ``KernelSpec``'s floor.
+    """
+    mu, Yt = centers
+    n, d = X.shape
+    if lift is None:
+        lift = np.empty((n, d + 2))
+    np.subtract(X, mu, out=lift[:, :d])
+    lift[:, d] = 1.0
+    np.einsum("ij,ij->i", lift[:, :d], lift[:, :d], out=lift[:, d + 1])
+    lift[:, d + 1] *= -0.5
+    G = np.matmul(lift, Yt, out=out)
+    np.minimum(G, 0.0, out=G)
+    G *= 1.0 / lengthscale**2
     np.exp(G, out=G)
     return G
 
@@ -75,16 +106,17 @@ def gram_matrix(X, Y, spec):
     Y = _as_matrix(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    return _rbf_gram(X, Y, spec.lengthscale)
+    return _rbf_gram(X, _lift_centers(Y), spec.lengthscale)
 
 
 def _solve_spd(A, b, jitter_scale):
-    """Cholesky solve with a single jitter retry, then FitError."""
+    """Cholesky solve with a single jitter retry, logged as a warning, then FitError."""
     try:
         c, low = scipy.linalg.cho_factor(A, lower=True)
         return scipy.linalg.cho_solve((c, low), b)
     except np.linalg.LinAlgError:
-        pass
+        logger.warning("Cholesky factorization failed; retrying with jitter %.3g added "
+                       "to the diagonal", jitter_scale)
     A_j = A + jitter_scale * np.eye(A.shape[0])
     try:
         c, low = scipy.linalg.cho_factor(A_j, lower=True)
@@ -150,9 +182,11 @@ def with_clip(model, bound):
 def predict_batch(model, X):
     """Kernel expansion sum_j coef_j k(c_j, x_i) for a batch X (n, d).
 
-    Rows go through ``_rbf_gram`` in blocks of at most 2**16 kernel values
-    (512 KiB, so a block stays in cache through its in-place passes), each
-    written into one buffer allocated per call and reduced by one GEMV.
+    The centres are lifted once per call (``_lift_centers``). Rows go through
+    ``_rbf_gram`` in blocks of at most 2**16 kernel values (512 KiB, so a block
+    stays in cache through its three in-place passes); each block is lifted
+    into one (rows, d + 2) buffer and its kernel values written into one
+    (rows, m) buffer, both allocated once per call, and reduced by one GEMV.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -161,13 +195,15 @@ def predict_batch(model, X):
     centers = model.centers
     if X.shape[1] != centers.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {centers.shape[1]}")
+    lifted = _lift_centers(centers)
     out = np.empty(n)
     rows = max(1, 2**16 // max(1, len(centers)))
+    lift = np.empty((min(rows, n), X.shape[1] + 2))
     buf = np.empty((min(rows, n), len(centers)))
     for lo in range(0, n, rows):
         hi = min(n, lo + rows)
-        out[lo:hi] = _rbf_gram(X[lo:hi], centers, model.kernel.lengthscale,
-                               out=buf[:hi - lo]) @ model.coefficients
+        out[lo:hi] = _rbf_gram(X[lo:hi], lifted, model.kernel.lengthscale,
+                               out=buf[:hi - lo], lift=lift[:hi - lo]) @ model.coefficients
     return out
 
 

@@ -284,6 +284,17 @@ def test_stack_serialization_round_trip(tmp_path):
         np.testing.assert_array_equal(stack.stage_fn(t)(X), loaded.stage_fn(t)(X))
 
 
+def test_stack_saves_to_the_exact_path_without_npz_suffix(tmp_path):
+    stack = backward_pass(small_run())
+    path = tmp_path / "stack"
+    save_stack(stack, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["stack"]
+    loaded = load_stack(path)
+    X = substream(0, 1).uniform(50.0, 200.0, size=(50, 2))
+    for t in range(1, stack.horizon + 1):
+        np.testing.assert_array_equal(stack.stage_fn(t)(X), loaded.stage_fn(t)(X))
+
+
 def test_stack_files_of_two_fits_are_byte_identical(tmp_path):
     # A stack file holds the fitted models only: no wall-clock timings.
     run = small_run()

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -69,10 +70,42 @@ def test_rbf_gram_fills_out_as_gram_matrix_allocates():
     rng = np.random.default_rng(7)
     X, Y = rng.normal(size=(30, 3)), rng.normal(size=(20, 3))
     buf = np.full((40, 20), np.nan)
-    G = kernels._rbf_gram(X, Y, SPEC.lengthscale, out=buf[:30])
+    G = kernels._rbf_gram(X, kernels._lift_centers(Y), SPEC.lengthscale, out=buf[:30])
     assert np.shares_memory(G, buf) and G.shape == (30, 20)
     np.testing.assert_array_equal(G, kernels.gram_matrix(X, Y, SPEC))
     assert np.isnan(buf[30:]).all()
+
+
+def _price_scale_points(rng, n, d):
+    return 100.0 * np.exp(0.2 * rng.normal(size=(n, d)))
+
+
+def _direct_gram(X, Y, lengthscale):
+    return np.exp(-((X[:, None] - Y[None]) ** 2).sum(-1) / (2 * lengthscale**2))
+
+
+# Max absolute error against the direct pairwise formula on price-scale points
+# (x ~ 100). Each bound is below what unshifted norms (||x||^2 + ||y||^2 - 2 x.y)
+# reach on this data, and at least twice the error of the shifted lift.
+PRICE_SCALE_TOL = {  # lengthscale: (gram, diagonal, predict)
+    1.0: (1e-12, 5e-12, 1e-12),
+    5.0: (1e-13, 2e-13, 1e-13),
+    42.0: (3e-15, 3e-15, 2e-14),
+}
+
+
+@pytest.mark.parametrize("lengthscale", sorted(PRICE_SCALE_TOL))
+@pytest.mark.parametrize("d", [2, 10])
+def test_kernel_matches_direct_formula_at_price_scale(d, lengthscale):
+    gram_tol, diag_tol, predict_tol = PRICE_SCALE_TOL[lengthscale]
+    rng = np.random.default_rng([11, d])
+    X, Y = _price_scale_points(rng, 800, d), _price_scale_points(rng, 200, d)
+    spec = KernelSpec(lengthscale=lengthscale)
+    direct = _direct_gram(X, Y, lengthscale)
+    assert np.abs(kernels.gram_matrix(X, Y, spec) - direct).max() <= gram_tol
+    assert np.abs(np.diag(kernels.gram_matrix(Y, Y, spec)) - 1.0).max() <= diag_tol
+    model = KrrModel(centers=Y, coefficients=rng.normal(size=len(Y)), kernel=spec, lam=0.0)
+    assert np.abs(kernels.predict_batch(model, X) - direct @ model.coefficients).max() <= predict_tol
 
 
 def test_kernel_spec_validation():
@@ -150,13 +183,17 @@ def test_unfactorizable_system_raises_fit_error():
         kernels._solve_spd(-np.eye(3), np.ones(3), 1e-10)
 
 
-def test_jitter_retry_rescues_singular_gram():
+def test_jitter_retry_rescues_singular_gram(caplog):
     # duplicated points with lambda = 0: the Gram matrix is exactly singular,
     # the jitter retry must still produce a usable (non-FitError) solve
     X = np.zeros((10, 1))
     y = np.ones(10)
-    model = kernels.krr_fit(X, y, 0.0, SPEC)
+    with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
+        model = kernels.krr_fit(X, y, 0.0, SPEC)
     assert np.isfinite(model.coefficients).all()
+    # trace(G) / n = 1, so the retry adds 1e-10 to the diagonal
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING and "jitter 1e-10" in record.getMessage()
 
 
 def test_nystrom_full_subset_matches_exact_krr():
