@@ -19,7 +19,7 @@ from .dynamics import INNER, NYSTROM, OUTER, GbmParams, gbm_step, sample_mu_t, s
 from .kernels import KernelSpec, KrrModel
 from .payoffs import PayoffSpec, payoff_batch
 
-# Above this training size the stage fit switches to Nystrom automatically.
+# Above this training size the stage fit is Nystrom KRR with this many centres.
 NYSTROM_AUTO_THRESHOLD = 2000
 
 # generate_stage_data computes its targets in this many blocks of points at
@@ -37,18 +37,12 @@ class StageConfig:
     M: int
     lam: float
     kernel: KernelSpec
-    nystrom_m: int | None = None
-    clip_override: float | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.M < 1:
             raise ValueError("n and M must be at least 1")
         if not 0 <= self.lam < math.inf:
             raise ValueError("lambda must be nonnegative and finite")
-        if self.nystrom_m is not None and self.nystrom_m < 1:
-            raise ValueError("nystrom_m must be at least 1")
-        if self.clip_override is not None and not 0 < self.clip_override < math.inf:
-            raise ValueError("clip must be positive and finite")
 
 
 @dataclass
@@ -112,14 +106,13 @@ def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1):
 
 
 def _fit_stage(X, y, cfg, seed, t):
-    clip = cfg.clip_override if cfg.clip_override is not None else float(np.max(np.abs(y)))
+    """Clipped KRR fit at B = max_i |y_i|; Nystrom when n > NYSTROM_AUTO_THRESHOLD."""
+    clip = float(np.max(np.abs(y)))
     if np.ptp(y) == 0.0:
         return kernels.constant_model(y[0], cfg.kernel, cfg.lam, clip_bound=max(clip, 1e-300))
-    m = cfg.nystrom_m
-    if m is None and cfg.n > NYSTROM_AUTO_THRESHOLD:
-        m = NYSTROM_AUTO_THRESHOLD
-    if m is not None and m < cfg.n:
-        model = kernels.nystrom_fit(X, y, cfg.lam, cfg.kernel, m, substream(seed, NYSTROM, t))
+    if cfg.n > NYSTROM_AUTO_THRESHOLD:
+        model = kernels.nystrom_fit(X, y, cfg.lam, cfg.kernel, NYSTROM_AUTO_THRESHOLD,
+                                    substream(seed, NYSTROM, t))
     else:
         model = kernels.krr_fit(X, y, cfg.lam, cfg.kernel)
     return kernels.with_clip(model, clip)

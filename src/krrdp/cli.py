@@ -40,15 +40,14 @@ def cmd_price(args):
     if res.lower_bound is not None:
         print(f"lower_bound {res.lower_bound[0]:.4f} (stderr {res.lower_bound[1]:.4f})")
     if args.out:
-        experiments.emit_results([res], args.format, args.out)
+        experiments.emit_results([res], args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_converge(args):
     cfg = _load(args)
-    rows, rho = experiments.convergence_study(cfg, _int_list(args.n_grid), n_jobs=args.jobs,
-                                              c_lambda=args.c_lambda, c_m=args.c_m)
+    rows, rho = experiments.convergence_study(cfg, _int_list(args.n_grid), n_jobs=args.jobs)
     print("n,lambda,M,mean_abs_err,stderr")
     for row in rows:
         print(f"{row['n']},{row['lam']:.6g},{row['M']},{row['mean_abs_err']:.6g},{row['stderr']:.6g}")
@@ -80,16 +79,13 @@ def main(argv=None):
     p = sub.add_parser("price", help="price a contract and emit a benchmark row")
     _add_common(p)
     p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    p.add_argument("--out", default=None, help="write the result as one CSV row")
     p.add_argument("--lower-bound", action="store_true")
     p.set_defaults(fn=cmd_price)
 
     p = sub.add_parser("converge", help="error vs oracle over a grid of sample sizes")
     _add_common(p)
     p.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
-    p.add_argument("--c-lambda", type=float, default=0.1, help="schedule constant for lambda")
-    p.add_argument("--c-m", type=float, default=10.0, help="schedule constant for M")
     p.set_defaults(fn=cmd_converge)
 
     p = sub.add_parser("mc-diag", help="continuation-value MC error diagnostic")

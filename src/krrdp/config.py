@@ -42,8 +42,6 @@ _STAGE_FIELDS = (
     ("n", "n", int),
     ("M", "M", int),
     ("lambda", "lam", float),
-    ("nystrom_m", "nystrom_m", int),
-    ("clip", "clip_override", float),
     ("lengthscale", "kernel", lambda v: KernelSpec(lengthscale=float(v))),
 )
 
@@ -195,7 +193,6 @@ def build_run_config(entries):
 
     n_default, m_default = default_sample_sizes(d)
     defaults = {"n": n_default, "M": m_default, "lam": DEFAULT_LAMBDA,
-                "nystrom_m": None, "clip_override": None,
                 "kernel": KernelSpec(lengthscale=default_lengthscale(d, payoff_kind))}
     settings = {fld: take("stage." + key, defaults[fld], cast) for key, fld, cast in _STAGE_FIELDS}
     try:

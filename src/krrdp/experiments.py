@@ -86,13 +86,18 @@ def run_benchmark(cfg, n_jobs=1):
     )
 
 
-def convergence_study(cfg, n_grid, reference=None, n_jobs=1, c_lambda=0.1, c_m=10.0):
+CONVERGENCE_C_LAMBDA = 0.1
+CONVERGENCE_C_M = 10.0
+
+
+def convergence_study(cfg, n_grid, reference=None, n_jobs=1):
     """Error vs oracle as n grows, with rate-style (lambda, M) schedules.
 
     Returns (rows, spearman) where each row is a dict with keys
-    n, lam, M, mean_abs_err, stderr. The default schedule constants keep the
-    regularization and inner-MC biases small enough at desk-scale n that the
-    error trend is visible rather than swamped by bias cancellation.
+    n, lam, M, mean_abs_err, stderr. The schedule constants CONVERGENCE_C_LAMBDA
+    and CONVERGENCE_C_M keep the regularization and inner-MC biases small enough
+    at desk-scale n that the error trend is visible rather than swamped by bias
+    cancellation.
     """
     if reference is None:
         reference = oracle_price(cfg)
@@ -100,7 +105,8 @@ def convergence_study(cfg, n_grid, reference=None, n_jobs=1, c_lambda=0.1, c_m=1
         raise ValueError("no oracle available; pass an explicit reference price")
     rows = []
     for n in n_grid:
-        lam, M = bellman.schedule_hyperparams(n, c_lambda=c_lambda, c_m=c_m)
+        lam, M = bellman.schedule_hyperparams(n, c_lambda=CONVERGENCE_C_LAMBDA,
+                                            c_m=CONVERGENCE_C_M)
         stages = tuple(replace(s, n=int(n), M=M, lam=lam) for s in cfg.stages)
         sub = replace(cfg, stages=stages, oracle=False, lower_bound=False)
         res = run_benchmark(sub, n_jobs)
@@ -155,20 +161,11 @@ def _result_row(res):
             res.seconds, res.seed, res.config_hash]
 
 
-def emit_results(results, fmt, path):
-    """Write one row per result as CSV or a markdown pipe table."""
+def emit_results(results, path):
+    """Write a CSV header and one row per result."""
     if not results:
         raise ValueError("no results to emit")
-    if fmt not in ("csv", "markdown"):
-        raise ValueError(f"unknown format {fmt!r}")
-    rows = [[_fmt(v) for v in _result_row(r)] for r in results]
     with open(path, "w") as fh:
-        if fmt == "csv":
-            fh.write(",".join(_CSV_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-        else:
-            fh.write("| " + " | ".join(_CSV_COLUMNS) + " |\n")
-            fh.write("|" + "---|" * len(_CSV_COLUMNS) + "\n")
-            for row in rows:
-                fh.write("| " + " | ".join(row) + " |\n")
+        fh.write(",".join(_CSV_COLUMNS) + "\n")
+        for res in results:
+            fh.write(",".join(_fmt(v) for v in _result_row(res)) + "\n")

@@ -83,7 +83,8 @@ def _rbf_gram(X, centers, lengthscale, out=None, lift=None):
     Three in-place passes on that one array follow: the clamp at 0, the scale
     by 1/l^2 and the exp; no (n, m) temporary is made. The scale stays a pass
     of its own: folded into the lift, ||x||^2 / l^2 would overflow to inf - inf
-    at lengthscales near ``KernelSpec``'s floor.
+    at lengthscales near ``KernelSpec``'s floor. The scale itself may overflow
+    there to -inf, whose exp is 0, the exact limit.
     """
     mu, Yt = centers
     n, d = X.shape
@@ -95,7 +96,8 @@ def _rbf_gram(X, centers, lengthscale, out=None, lift=None):
     lift[:, d + 1] *= -0.5
     G = np.matmul(lift, Yt, out=out)
     np.minimum(G, 0.0, out=G)
-    G *= 1.0 / lengthscale**2
+    with np.errstate(over="ignore"):
+        G *= 1.0 / lengthscale**2
     np.exp(G, out=G)
     return G
 
@@ -137,6 +139,7 @@ def krr_fit(X, y, lam, spec):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     G = gram_matrix(X, X, spec)
+    np.fill_diagonal(G, 1.0)  # k(x, x) = 1, which the GEMM loses to cancellation
     A = G + (lam * n) * np.eye(n)
     alpha = _solve_spd(A, y, 1e-10 * np.trace(G) / n)
     return KrrModel(centers=X, coefficients=alpha, kernel=spec, lam=float(lam))
@@ -155,7 +158,8 @@ def nystrom_fit(X, y, lam, spec, m, rng):
     idx = np.sort(rng.choice(n, size=m, replace=False))
     centers = X[idx]
     Knm = gram_matrix(X, centers, spec)
-    Kmm = gram_matrix(centers, centers, spec)
+    Knm[idx, np.arange(m)] = 1.0  # k(c, c) = 1, which the GEMM loses to cancellation
+    Kmm = Knm[idx]
     A = Knm.T @ Knm + (lam * n) * Kmm
     b = Knm.T @ y
     alpha = _solve_spd(A, b, 1e-10 * max(np.trace(A) / m, 1.0))

@@ -181,8 +181,10 @@ def test_price_at_origin_dominates_immediate_exercise_and_is_deterministic():
     assert 0.0 < p1 < 100.0
 
 
-def test_nystrom_stage_fit_uses_fewer_centers():
-    run = small_run(**{"stage.nystrom_m": "15"})
+def test_nystrom_stage_fit_uses_fewer_centers(monkeypatch):
+    # n = 40 is above the threshold, so each stage fits Nystrom with 15 centres
+    monkeypatch.setattr(bellman, "NYSTROM_AUTO_THRESHOLD", 15)
+    run = small_run()
     stack = backward_pass(run)
     for t in range(1, 3):
         assert stack.models[t].centers.shape[0] == 15

@@ -34,7 +34,7 @@ def test_price_command(cfg_path, capsys):
 def test_price_writes_csv(cfg_path, tmp_path, capsys):
     out_file = tmp_path / "row.csv"
     code = main(["price", "--config", cfg_path, "--reps", "1",
-                 "--out", str(out_file), "--format", "csv", "--lower-bound"])
+                 "--out", str(out_file), "--lower-bound"])
     assert code == 0
     text = out_file.read_text()
     assert text.startswith("d,payoff,price,")

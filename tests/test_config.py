@@ -65,12 +65,11 @@ def test_scalar_broadcast_and_full_rho():
 def test_per_stage_override():
     # One stage.<field> setting reaches every date; stage.<t>.<field> is not a key.
     entries = {**BASE, "stage.n": "50", "stage.M": "30", "stage.lambda": "0.01",
-               "stage.nystrom_m": "20", "stage.clip": "7", "stage.lengthscale": "12.5"}
+               "stage.lengthscale": "12.5"}
     cfg = build_run_config(entries)
     assert len(cfg.stages) == cfg.steps
     for s in cfg.stages:
-        assert (s.n, s.M, s.lam, s.nystrom_m, s.clip_override, s.kernel.lengthscale) == (
-            50, 30, 0.01, 20, 7.0, 12.5)
+        assert (s.n, s.M, s.lam, s.kernel.lengthscale) == (50, 30, 0.01, 12.5)
     with pytest.raises(ConfigError, match="unknown field 'stage.3.n'"):
         build_run_config({**BASE, "stage.3.n": "99"})
 
@@ -141,8 +140,6 @@ CHANGED = {
     "stage.n": "50",
     "stage.M": "30",
     "stage.lambda": "0.01",
-    "stage.nystrom_m": "20",
-    "stage.clip": "7",
     "stage.lengthscale": "12.5",
     "seed": "999",
     "repetitions": "3",

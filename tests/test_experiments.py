@@ -1,11 +1,12 @@
 import csv
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from krrdp import experiments
+from krrdp import bellman, experiments
 from krrdp.config import ConfigError, build_run_config
 from krrdp.dynamics import REP
 from krrdp.experiments import (
@@ -87,24 +88,24 @@ STAGE_SETTINGS = st.fixed_dictionaries(
         "stage.n": mostly(st.integers(1, 40)),
         "stage.M": mostly(st.integers(1, 16)),
         "stage.lambda": mostly(st.floats(1e-8, 1.0)),
-        "stage.clip": mostly(st.floats(1e-3, 1e3)),
         "stage.lengthscale": mostly(st.floats(0.5, 200.0)),
-        "stage.nystrom_m": mostly(st.integers(1, 40)),
     },
 )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(STAGE_SETTINGS)
-@example({"contract.payoff": "geo_basket_put", "stage.lengthscale": "1e300"})
-def test_config_that_builds_prices_finitely(stage_settings):
-    # quick.cfg's sizes: 3 dates, one repetition
+@given(STAGE_SETTINGS, st.just(bellman.NYSTROM_AUTO_THRESHOLD) | st.integers(1, 40))
+@example({"contract.payoff": "geo_basket_put", "stage.lengthscale": "1e300"},
+         bellman.NYSTROM_AUTO_THRESHOLD)
+def test_config_that_builds_prices_finitely(stage_settings, nystrom_threshold):
+    # quick.cfg's sizes: 3 dates, one repetition; a threshold below n fits Nystrom
     try:
         cfg = tiny_config(**{"repetitions": "1", "oracle": "false", **stage_settings})
     except ConfigError:
         return
     try:
-        res = run_benchmark(cfg)
+        with patch.object(bellman, "NYSTROM_AUTO_THRESHOLD", nystrom_threshold):
+            res = run_benchmark(cfg)
     except FitError:
         return
     assert np.all(np.isfinite(res.per_rep_prices)) and math.isfinite(res.price_mean)
@@ -140,7 +141,7 @@ def test_mc_diagnostic_zero_at_equal_m_and_clt_scaling():
 def test_emit_results_csv_round_trip(tmp_path):
     res = run_benchmark(tiny_config(lower_bound="true", lb_paths="200"))
     path = tmp_path / "rows.csv"
-    emit_results([res], "csv", path)
+    emit_results([res], path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
@@ -153,19 +154,15 @@ def test_emit_results_csv_round_trip(tmp_path):
     assert row["config_hash"] == res.config_hash
 
 
-def test_emit_results_markdown_and_empty_oracle(tmp_path):
+def test_emit_results_leaves_a_missing_oracle_empty(tmp_path):
     res = run_benchmark(tiny_config("max_call", oracle="false"))
-    path = tmp_path / "rows.md"
-    emit_results([res], "markdown", path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("| d |")
-    assert lines[1].startswith("|---")
-    assert lines[2].startswith("| 2 | max_call |")
+    path = tmp_path / "rows.csv"
+    emit_results([res], path)
+    with open(path) as fh:
+        [row] = list(csv.DictReader(fh))
+    assert (row["d"], row["payoff"], row["oracle"], row["lower_bound"]) == ("2", "max_call", "", "")
 
 
 def test_emit_results_validation(tmp_path):
     with pytest.raises(ValueError):
-        emit_results([], "csv", tmp_path / "x.csv")
-    res = run_benchmark(tiny_config())
-    with pytest.raises(ValueError, match="format"):
-        emit_results([res], "json", tmp_path / "x.json")
+        emit_results([], tmp_path / "x.csv")

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,44 @@ def test_kernel_matches_direct_formula_at_price_scale(d, lengthscale):
     assert np.abs(np.diag(kernels.gram_matrix(Y, Y, spec)) - 1.0).max() <= diag_tol
     model = KrrModel(centers=Y, coefficients=rng.normal(size=len(Y)), kernel=spec, lam=0.0)
     assert np.abs(kernels.predict_batch(model, X) - direct @ model.coefficients).max() <= predict_tol
+
+
+def test_smallest_lengthscale_gives_identity_gram_without_overflow_warning():
+    # l^2 is just above the smallest normal float: the 1/l^2 scale overflows to -inf,
+    # whose exp is the exact limit 0
+    X = _price_scale_points(np.random.default_rng(6), 5, 2)
+    spec = KernelSpec(lengthscale=1.4918e-154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        G = kernels.gram_matrix(X, X, spec)
+        model = kernels.krr_fit(X, X[:, 0], 0.0, spec)
+    np.testing.assert_array_equal(G[~np.eye(5, dtype=bool)], 0.0)
+    np.testing.assert_array_equal(model.coefficients, X[:, 0])  # the fitted Gram is I
+
+
+@pytest.mark.parametrize("lengthscale", [1e-6, 1e-150])
+@pytest.mark.parametrize("d", [2, 10])
+def test_fitted_gram_diagonal_is_exactly_one(d, lengthscale, monkeypatch, caplog):
+    # The lifted GEMM loses ||x - x||^2 = 0 to cancellation on price-scale points;
+    # far below their spacing the fitted Gram matrix and Kmm are the identity.
+    rng = np.random.default_rng([12, d])
+    X, y = _price_scale_points(rng, 400, d), rng.normal(size=400)
+    spec = KernelSpec(lengthscale=lengthscale)
+    systems = []
+    solve = kernels._solve_spd
+
+    def recording(A, b, jitter_scale):
+        systems.append(A.copy())
+        return solve(A, b, jitter_scale)
+
+    monkeypatch.setattr(kernels, "_solve_spd", recording)
+    with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
+        kernels.krr_fit(X, y, 0.0, spec)
+        kernels.nystrom_fit(X, y, 1e-3, spec, 50, np.random.default_rng(0))
+    exact, nystrom = systems
+    assert np.all(np.diag(exact) == 1.0)  # lambda = 0: the system is the Gram matrix
+    assert np.all(np.diag(nystrom) == 1.0 + 1e-3 * 400)  # Knm'Knm + lambda n Kmm
+    assert caplog.records == []
 
 
 def test_kernel_spec_validation():
