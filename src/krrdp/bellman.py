@@ -30,6 +30,9 @@ TARGET_BLOCKS = 8
 
 STACK_FORMAT_VERSION = 3
 
+# Inner Monte Carlo draws per path behind policy_lower_bound's exercise rule.
+LOWER_BOUND_INNER_M = 64
+
 
 @dataclass(frozen=True)
 class StageConfig:
@@ -150,7 +153,7 @@ def price_at_origin(stack, eval_M, rng):
     return float(max(payoff_batch(stack.payoff, x0)[0], cont))
 
 
-def policy_lower_bound(stack, paths, rng, inner_m=64):
+def policy_lower_bound(stack, paths, rng):
     """Average discounted payoff of the stack-induced stopping rule.
 
     Any feasible rule prices at or below the optimum in expectation, so this
@@ -171,7 +174,7 @@ def policy_lower_bound(stack, paths, rng, inner_m=64):
         if alive.size == 0:
             break
         C = payoff_batch(payoff, x)
-        z = rng.standard_normal((x.shape[0], inner_m, d))
+        z = rng.standard_normal((x.shape[0], LOWER_BOUND_INNER_M, d))
         stop = C > 0
         cont = continuation(x[stop], stack.stage_fn(t + 1), z[stop], params).mean(axis=1)
         stop[stop] = C[stop] >= cont

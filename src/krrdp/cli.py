@@ -2,7 +2,6 @@
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import bellman, experiments
 from .config import ConfigError, load_config
@@ -10,16 +9,8 @@ from .config import ConfigError, load_config
 
 def _add_common(p, jobs=True):
     p.add_argument("--config", required=True, help="path to a run config file")
-    p.add_argument("--seed", type=int, default=None, help="override the root seed")
     if jobs:
         p.add_argument("--jobs", type=int, default=1, help="worker threads for data generation")
-
-
-def _load(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
 
 
 def _int_list(text):
@@ -27,12 +18,7 @@ def _int_list(text):
 
 
 def cmd_price(args):
-    cfg = _load(args)
-    if args.reps is not None:
-        cfg = replace(cfg, repetitions=args.reps)
-    if args.lower_bound:
-        cfg = replace(cfg, lower_bound=True)
-    res = experiments.run_benchmark(cfg, n_jobs=args.jobs)
+    res = experiments.run_benchmark(load_config(args.config), n_jobs=args.jobs)
     print(f"price {res.price_mean:.4f}  ci95 [{res.ci95[0]:.4f}, {res.ci95[1]:.4f}]"
           f"  time/rep {res.seconds:.2f}s")
     if res.oracle_price is not None:
@@ -46,8 +32,8 @@ def cmd_price(args):
 
 
 def cmd_converge(args):
-    cfg = _load(args)
-    rows, rho = experiments.convergence_study(cfg, _int_list(args.n_grid), n_jobs=args.jobs)
+    rows, rho = experiments.convergence_study(load_config(args.config), _int_list(args.n_grid),
+                                              n_jobs=args.jobs)
     print("n,lambda,M,mean_abs_err,stderr")
     for row in rows:
         print(f"{row['n']},{row['lam']:.6g},{row['M']},{row['mean_abs_err']:.6g},{row['stderr']:.6g}")
@@ -56,16 +42,14 @@ def cmd_converge(args):
 
 
 def cmd_mc_diag(args):
-    cfg = _load(args)
     m_small, m_large = _int_list(args.m)
-    gap = experiments.mc_error_diagnostic(cfg, (m_small, m_large))
+    gap = experiments.mc_error_diagnostic(load_config(args.config), (m_small, m_large))
     print(f"rms_gap {gap:.6g}")
     return 0
 
 
 def cmd_dump_stack(args):
-    cfg = _load(args)
-    stack = bellman.backward_pass(cfg, n_jobs=args.jobs)
+    stack = bellman.backward_pass(load_config(args.config), n_jobs=args.jobs)
     bellman.save_stack(stack, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -78,9 +62,7 @@ def main(argv=None):
 
     p = sub.add_parser("price", help="price a contract and emit a benchmark row")
     _add_common(p)
-    p.add_argument("--reps", type=int, default=None)
     p.add_argument("--out", default=None, help="write the result as one CSV row")
-    p.add_argument("--lower-bound", action="store_true")
     p.set_defaults(fn=cmd_price)
 
     p = sub.add_parser("converge", help="error vs oracle over a grid of sample sizes")

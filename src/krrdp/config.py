@@ -56,7 +56,6 @@ class RunConfig:
     seed: int
     repetitions: int
     eval_M: int
-    oracle: bool
     lower_bound: bool
     lb_paths: int
 
@@ -67,6 +66,8 @@ class RunConfig:
             raise ConfigError("repetitions must be at least 1")
         if len(self.stages) != self.steps:
             raise ConfigError("need one StageConfig per step")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.eval_M < 1:
             raise ConfigError("eval_M must be at least 1")
         if self.lb_paths < 1:
@@ -209,7 +210,6 @@ def build_run_config(entries):
         seed=take("seed", 20260823, int),
         repetitions=take("repetitions", 10, int),
         eval_M=take("eval_M", 100_000, int),
-        oracle=take("oracle", True, _bool),
         lower_bound=take("lower_bound", False, _bool),
         lb_paths=take("lb_paths", 4000, int),
     )

@@ -34,15 +34,13 @@ def _child_seed(seed, *key):
     return int(np.random.SeedSequence([seed, *key]).generate_state(1, np.uint64)[0])
 
 
-def oracle_price(cfg, tree_steps=None):
-    """Bermudan binomial price of the reduced 1-d geometric basket put."""
+def oracle_price(cfg):
+    """Bermudan binomial price of the reduced 1-d geometric basket put; None otherwise."""
     if cfg.payoff.kind != GEO_BASKET_PUT:
         return None
     red = oracles.geometric_reduction(cfg.params, maturity=cfg.maturity, steps=cfg.steps)
-    if tree_steps is None:
-        tree_steps = cfg.steps * ORACLE_TREE_STEPS_PER_DATE
     return oracles.crr_binomial_american(red, cfg.payoff.strike, kind="put",
-                                         tree_steps=tree_steps)
+                                         tree_steps=cfg.steps * ORACLE_TREE_STEPS_PER_DATE)
 
 
 def run_benchmark(cfg, n_jobs=1):
@@ -82,7 +80,7 @@ def run_benchmark(cfg, n_jobs=1):
         seed=cfg.seed,
         seconds=float(timings.sum()),
         lower_bound=lb,
-        oracle_price=oracle_price(cfg) if cfg.oracle else None,
+        oracle_price=oracle_price(cfg),
     )
 
 
@@ -90,35 +88,31 @@ CONVERGENCE_C_LAMBDA = 0.1
 CONVERGENCE_C_M = 10.0
 
 
-def convergence_study(cfg, n_grid, reference=None, n_jobs=1):
+def convergence_study(cfg, n_grid, n_jobs=1):
     """Error vs oracle as n grows, with rate-style (lambda, M) schedules.
 
     Returns (rows, spearman) where each row is a dict with keys
     n, lam, M, mean_abs_err, stderr. The schedule constants CONVERGENCE_C_LAMBDA
     and CONVERGENCE_C_M keep the regularization and inner-MC biases small enough
     at desk-scale n that the error trend is visible rather than swamped by bias
-    cancellation.
+    cancellation. The grid needs at least two distinct sizes for a trend.
     """
-    if reference is None:
-        reference = oracle_price(cfg)
-    if reference is None:
-        raise ValueError("no oracle available; pass an explicit reference price")
+    if cfg.payoff.kind != GEO_BASKET_PUT:
+        raise ValueError("no reference price: the study needs the geometric put's binomial oracle")
+    if len(set(n_grid)) < 2:
+        raise ValueError(f"need at least two distinct sample sizes, got {list(n_grid)}")
     rows = []
     for n in n_grid:
         lam, M = bellman.schedule_hyperparams(n, c_lambda=CONVERGENCE_C_LAMBDA,
                                             c_m=CONVERGENCE_C_M)
         stages = tuple(replace(s, n=int(n), M=M, lam=lam) for s in cfg.stages)
-        sub = replace(cfg, stages=stages, oracle=False, lower_bound=False)
+        sub = replace(cfg, stages=stages, lower_bound=False)
         res = run_benchmark(sub, n_jobs)
-        errs = np.abs(np.asarray(res.per_rep_prices) - reference)
+        errs = np.abs(np.asarray(res.per_rep_prices) - res.oracle_price)
         stderr = float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else 0.0
         rows.append({"n": int(n), "lam": lam, "M": M,
                      "mean_abs_err": float(errs.mean()), "stderr": stderr})
-    if len(rows) > 1:
-        rho = float(spearmanr([r["n"] for r in rows],
-                              [r["mean_abs_err"] for r in rows]).statistic)
-    else:
-        rho = float("nan")
+    rho = float(spearmanr([r["n"] for r in rows], [r["mean_abs_err"] for r in rows]).statistic)
     return rows, rho
 
 

@@ -23,7 +23,7 @@ class Reduced1d:
     steps: int
 
 
-def geometric_reduction(params, maturity=None, steps=None):
+def geometric_reduction(params, maturity, steps):
     """Reduce the d-asset basket's geometric mean to a 1-d GBM.
 
     Per step, log of the geometric mean moves by mean (r - q - sigma_hat^2/2) dt
@@ -34,10 +34,6 @@ def geometric_reduction(params, maturity=None, steps=None):
     var = float(sigma @ params.rho @ sigma) / d**2
     q = float(np.sum(sigma**2)) / (2 * d) - var / 2
     s0 = float(np.exp(np.mean(np.log(params.x0))))
-    if steps is None:
-        steps = 1
-    if maturity is None:
-        maturity = steps * params.dt
     return Reduced1d(s0=s0, sigma_hat=math.sqrt(var), q=q, r=params.r,
                      maturity=maturity, steps=steps)
 

@@ -201,7 +201,7 @@ def test_policy_lower_bound_basic_properties():
         policy_lower_bound(stack, 0, substream(run.seed, 3))
 
 
-def _all_paths_lower_bound(stack, paths, rng, inner_m=64):
+def _all_paths_lower_bound(stack, paths, rng):
     # Reference rule: the continuation on every alive path, in the money or not.
     params, payoff, T = stack.params, stack.payoff, stack.horizon
     x = np.tile(params.x0, (paths, 1))
@@ -211,7 +211,7 @@ def _all_paths_lower_bound(stack, paths, rng, inner_m=64):
         if alive.size == 0:
             break
         C = payoff_batch(payoff, x)
-        z = rng.standard_normal((x.shape[0], inner_m, params.d))
+        z = rng.standard_normal((x.shape[0], bellman.LOWER_BOUND_INNER_M, params.d))
         cont = continuation(x, stack.stage_fn(t + 1), z, params).mean(axis=1)
         stop = (C > 0) & (C >= cont)
         value[alive[stop]] = C[stop] * math.exp(-params.r * t * params.dt)
@@ -242,7 +242,7 @@ def test_policy_lower_bound_skips_continuation_out_of_the_money(monkeypatch):
     run = small_run()
     stack = backward_pass(run)
     monkeypatch.setattr(bellman, "continuation", counting)
-    policy_lower_bound(stack, 300, substream(run.seed, 3), inner_m=8)
+    policy_lower_bound(stack, 300, substream(run.seed, 3))
     assert len(states) == run.steps and states[0] == 0
 
 

@@ -1,8 +1,10 @@
-import numpy as np
+import csv
+
 import pytest
 
 from krrdp import bellman
 from krrdp.cli import main
+from krrdp.config import config_hash, load_config
 
 
 CFG_TEXT = (
@@ -31,22 +33,28 @@ def test_price_command(cfg_path, capsys):
     assert "price" in out and "ci95" in out and "oracle" in out
 
 
-def test_price_writes_csv(cfg_path, tmp_path, capsys):
+def test_price_writes_csv(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(CFG_TEXT.replace("repetitions = 2\n", "repetitions = 1\nlower_bound = true\n"))
     out_file = tmp_path / "row.csv"
-    code = main(["price", "--config", cfg_path, "--reps", "1",
-                 "--out", str(out_file), "--lower-bound"])
-    assert code == 0
-    text = out_file.read_text()
-    assert text.startswith("d,payoff,price,")
-    assert "geo_basket_put" in text
+    assert main(["price", "--config", str(path), "--out", str(out_file)]) == 0
+    assert out_file.read_text().startswith("d,payoff,price,")
+    with open(out_file) as fh:
+        [row] = list(csv.DictReader(fh))
+    assert row["payoff"] == "geo_basket_put"
+    assert float(row["lower_bound"]) > 0
+    # The row's provenance key is the hash of the file given, with no override.
+    assert row["config_hash"] == config_hash(load_config(path))
 
 
-def test_price_seed_override_changes_result(cfg_path, capsys):
-    main(["price", "--config", cfg_path, "--reps", "1"])
-    first = capsys.readouterr().out
-    main(["price", "--config", cfg_path, "--reps", "1", "--seed", "99"])
-    second = capsys.readouterr().out
-    assert first != second
+def test_price_seed_override_changes_result(tmp_path, capsys):
+    outs = []
+    for seed in (11, 99):
+        path = tmp_path / f"seed{seed}.cfg"
+        path.write_text(CFG_TEXT.replace("seed = 11\n", f"seed = {seed}\n"))
+        assert main(["price", "--config", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] != outs[1]
 
 
 def test_converge_command(cfg_path, capsys):
@@ -81,12 +89,15 @@ def test_bad_config_contents_error(tmp_path, capsys):
     assert err.startswith("error:") and "contract.payoff" in err
 
 
-def test_price_has_no_oracle_option(cfg_path, capsys):
-    # The oracle is the config key 'oracle', on by default.
+@pytest.mark.parametrize("flag", [["--oracle"], ["--seed", "99"], ["--reps", "1"], ["--lower-bound"]],
+                         ids=lambda flag: flag[0])
+def test_price_has_no_oracle_option(flag, cfg_path, capsys):
+    # Every setting comes from the config file: the oracle is always printed for
+    # the put, and seed, repetitions and lower_bound are config keys.
     with pytest.raises(SystemExit) as exc:
-        main(["price", "--config", cfg_path, "--oracle"])
+        main(["price", "--config", cfg_path, *flag])
     assert exc.value.code == 2
-    assert "--oracle" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_nonzero():

@@ -81,7 +81,7 @@ def test_per_stage_override():
         ({"market.d": "2", "contract.payoff": "geo_basket_put"}, "contract.strike"),
         ({**BASE, "contract.payoff": "lookback"}, "payoff"),
         ({**BASE, "market.rho": "1,0.2,0.2"}, "rho"),
-        ({**BASE, "oracle": "maybe"}, "boolean"),
+        ({**BASE, "lower_bound": "maybe"}, "boolean"),
         ({**BASE, "typo.key": "1"}, "unknown field"),
         ({**BASE, "contract.steps": "0"}, "steps"),
         ({**BASE, "market.d": "two"}, "market.d"),
@@ -113,6 +113,8 @@ def test_per_stage_override():
         ({**BASE, "stage.lengthscale": "1e200"}, "stage.lengthscale"),
         ({**BASE, "stage.lengthscale": "1e-200"}, "stage.lengthscale"),
         ({**BASE, "stage.beta": "0.5"}, "unknown field 'stage.beta'"),
+        ({**BASE, "oracle": "true"}, "unknown field 'oracle'"),
+        ({**BASE, "seed": "-1"}, "seed"),
     ],
 )
 def test_invalid_configs_raise(entries, match):
@@ -144,7 +146,6 @@ CHANGED = {
     "seed": "999",
     "repetitions": "3",
     "eval_M": "500",
-    "oracle": "false",
     "lower_bound": "true",
     "lb_paths": "100",
 }

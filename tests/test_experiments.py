@@ -100,7 +100,7 @@ STAGE_SETTINGS = st.fixed_dictionaries(
 def test_config_that_builds_prices_finitely(stage_settings, nystrom_threshold):
     # quick.cfg's sizes: 3 dates, one repetition; a threshold below n fits Nystrom
     try:
-        cfg = tiny_config(**{"repetitions": "1", "oracle": "false", **stage_settings})
+        cfg = tiny_config(**{"repetitions": "1", **stage_settings})
     except ConfigError:
         return
     try:
@@ -115,6 +115,12 @@ def test_convergence_study_requires_reference_for_call():
     cfg = tiny_config("max_call")
     with pytest.raises(ValueError, match="reference"):
         experiments.convergence_study(cfg, [20, 40])
+
+
+@pytest.mark.parametrize("n_grid", [[], [40], [40, 40]])
+def test_convergence_study_needs_two_distinct_sizes(n_grid):
+    with pytest.raises(ValueError, match="two distinct sample sizes"):
+        experiments.convergence_study(tiny_config(), n_grid)
 
 
 def test_convergence_study_row_shape():
@@ -155,7 +161,7 @@ def test_emit_results_csv_round_trip(tmp_path):
 
 
 def test_emit_results_leaves_a_missing_oracle_empty(tmp_path):
-    res = run_benchmark(tiny_config("max_call", oracle="false"))
+    res = run_benchmark(tiny_config("max_call"))
     path = tmp_path / "rows.csv"
     emit_results([res], path)
     with open(path) as fh:
