@@ -190,20 +190,6 @@ def policy_lower_bound(stack, paths, rng):
     return float(value.mean()), stderr
 
 
-def schedule_hyperparams(n, beta=1.0, c_lambda=1.0, c_m=1.0):
-    """Rate-optimal stage settings: lambda ~ n^{-1/(beta+1)}, M ~ n^{beta/(beta+1)}.
-
-    beta in (0, 1] is the source-condition exponent of the target value function.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0 < beta <= 1:
-        raise ValueError("beta must lie in (0, 1]")
-    lam = c_lambda * n ** (-1.0 / (beta + 1.0))
-    M = math.ceil(c_m * n ** (beta / (beta + 1.0)))
-    return lam, M
-
-
 def contraction_check(f, g, t, n_eval, M, params, payoff, rng):
     """Empirical Bellman Lipschitz bound on shared inner noise.
 

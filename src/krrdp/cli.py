@@ -14,7 +14,20 @@ def _add_common(p, jobs=True):
 
 
 def _int_list(text):
-    return [int(v) for v in text.split(",") if v.strip()]
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _m_pair(text):
+    try:
+        m_small, m_large = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two integers M_small,M_large, got {text!r}") from None
+    return m_small, m_large
 
 
 def cmd_price(args):
@@ -32,7 +45,7 @@ def cmd_price(args):
 
 
 def cmd_converge(args):
-    rows, rho = experiments.convergence_study(load_config(args.config), _int_list(args.n_grid),
+    rows, rho = experiments.convergence_study(load_config(args.config), args.n_grid,
                                               n_jobs=args.jobs)
     print("n,lambda,M,mean_abs_err,stderr")
     for row in rows:
@@ -42,8 +55,7 @@ def cmd_converge(args):
 
 
 def cmd_mc_diag(args):
-    m_small, m_large = _int_list(args.m)
-    gap = experiments.mc_error_diagnostic(load_config(args.config), (m_small, m_large))
+    gap = experiments.mc_error_diagnostic(load_config(args.config), args.m)
     print(f"rms_gap {gap:.6g}")
     return 0
 
@@ -67,12 +79,12 @@ def main(argv=None):
 
     p = sub.add_parser("converge", help="error vs oracle over a grid of sample sizes")
     _add_common(p)
-    p.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
+    p.add_argument("--n-grid", required=True, type=_int_list, help="comma-separated sample sizes")
     p.set_defaults(fn=cmd_converge)
 
     p = sub.add_parser("mc-diag", help="continuation-value MC error diagnostic")
     _add_common(p, jobs=False)
-    p.add_argument("--m", required=True, help="M_small,M_large")
+    p.add_argument("--m", required=True, type=_m_pair, help="M_small,M_large")
     p.set_defaults(fn=cmd_mc_diag)
 
     p = sub.add_parser("dump-stack", help="fit and serialize the value-function stack")

@@ -88,8 +88,19 @@ CONVERGENCE_C_LAMBDA = 0.1
 CONVERGENCE_C_M = 10.0
 
 
+def schedule_hyperparams(n):
+    """The convergence study's stage settings at n: lambda ~ n^{-1/2}, M ~ n^{1/2}.
+
+    These are the rate-optimal schedules lambda ~ n^{-1/(beta+1)} and
+    M ~ n^{beta/(beta+1)} at source-condition exponent beta = 1.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return CONVERGENCE_C_LAMBDA * n ** -0.5, math.ceil(CONVERGENCE_C_M * n ** 0.5)
+
+
 def convergence_study(cfg, n_grid, n_jobs=1):
-    """Error vs oracle as n grows, with rate-style (lambda, M) schedules.
+    """Error vs oracle as n grows, with (lambda, M) from ``schedule_hyperparams``.
 
     Returns (rows, spearman) where each row is a dict with keys
     n, lam, M, mean_abs_err, stderr. The schedule constants CONVERGENCE_C_LAMBDA
@@ -103,8 +114,7 @@ def convergence_study(cfg, n_grid, n_jobs=1):
         raise ValueError(f"need at least two distinct sample sizes, got {list(n_grid)}")
     rows = []
     for n in n_grid:
-        lam, M = bellman.schedule_hyperparams(n, c_lambda=CONVERGENCE_C_LAMBDA,
-                                            c_m=CONVERGENCE_C_M)
+        lam, M = schedule_hyperparams(n)
         stages = tuple(replace(s, n=int(n), M=M, lam=lam) for s in cfg.stages)
         sub = replace(cfg, stages=stages, lower_bound=False)
         res = run_benchmark(sub, n_jobs)

@@ -14,7 +14,6 @@ from krrdp.bellman import (
     policy_lower_bound,
     price_at_origin,
     save_stack,
-    schedule_hyperparams,
 )
 from krrdp.config import build_run_config
 from krrdp.dynamics import INNER, OUTER, GbmParams, gbm_step, sample_mu_t, substream
@@ -244,19 +243,6 @@ def test_policy_lower_bound_skips_continuation_out_of_the_money(monkeypatch):
     monkeypatch.setattr(bellman, "continuation", counting)
     policy_lower_bound(stack, 300, substream(run.seed, 3))
     assert len(states) == run.steps and states[0] == 0
-
-
-def test_schedule_hyperparams_hand_values():
-    lam, M = schedule_hyperparams(100, 1.0)
-    assert lam == pytest.approx(0.1, rel=1e-12)
-    assert M == 10
-    lam, M = schedule_hyperparams(100, 1.0, c_lambda=0.5, c_m=3.0)
-    assert lam == pytest.approx(0.05, rel=1e-12)
-    assert M == 30
-    with pytest.raises(ValueError):
-        schedule_hyperparams(0, 1.0)
-    with pytest.raises(ValueError):
-        schedule_hyperparams(100, 0.0)
 
 
 def test_contraction_check_holds_on_sample_triples():

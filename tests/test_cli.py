@@ -69,6 +69,19 @@ def test_mc_diag_command(cfg_path, capsys):
     assert "rms_gap 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("mc-diag", "--m", "16"),
+    ("mc-diag", "--m", "16,32,64"),
+    ("mc-diag", "--m", "a,b"),
+    ("converge", "--n-grid", "x"),
+], ids=["m-one-value", "m-three-values", "m-not-int", "n-grid-not-int"])
+def test_malformed_list_argument_names_its_flag(command, flag, value, cfg_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_dump_stack_command(cfg_path, tmp_path, capsys):
     out_file = tmp_path / "stack.npz"
     assert main(["dump-stack", "--config", cfg_path, "--out", str(out_file)]) == 0

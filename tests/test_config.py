@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import krrdp
 from krrdp.config import (
     ConfigError,
     DEFAULT_LAMBDA,
@@ -192,3 +198,17 @@ def test_load_config_rejects_a_duplicated_key(tmp_path):
                     "contract.strike = 100\nseed = 2\n")
     with pytest.raises(ConfigError, match=r"dup.cfg:5: duplicate key 'seed', first set on line 1"):
         load_config(path)
+
+
+def test_import_config_loads_neither_experiments_nor_oracles():
+    # The package root re-exports nothing, so building a config imports only
+    # the modules the config is made of: no experiments, oracles or scipy.stats.
+    src = str(Path(krrdp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, krrdp.config; "
+            "print(','.join(m for m in ('krrdp.experiments', 'krrdp.oracles', 'scipy.stats') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == ""

@@ -117,6 +117,14 @@ def test_convergence_study_requires_reference_for_call():
         experiments.convergence_study(cfg, [20, 40])
 
 
+def test_schedule_hyperparams_hand_values():
+    lam, M = experiments.schedule_hyperparams(100)
+    assert lam == pytest.approx(0.01, rel=1e-12)
+    assert M == 100
+    with pytest.raises(ValueError):
+        experiments.schedule_hyperparams(0)
+
+
 @pytest.mark.parametrize("n_grid", [[], [40], [40, 40]])
 def test_convergence_study_needs_two_distinct_sizes(n_grid):
     with pytest.raises(ValueError, match="two distinct sample sizes"):
