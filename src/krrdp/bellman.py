@@ -8,9 +8,8 @@ estimates it). All randomness is drawn from counter-based substreams keyed by
 
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ NYSTROM_AUTO_THRESHOLD = 2000
 # --jobs.
 TARGET_BLOCKS = 8
 
-STACK_FORMAT_VERSION = 3
+STACK_FORMAT_VERSION = 4
 
 # Inner Monte Carlo draws per path behind policy_lower_bound's exercise rule.
 LOWER_BOUND_INNER_M = 64
@@ -56,7 +55,6 @@ class ValueFunctionStack:
     models: list  # KrrModel per stage t = 1..T-1; None at t = 0
     params: GbmParams
     horizon: int
-    timings: list = field(default_factory=list)  # seconds per stage, 0.0 at t = 0; not saved
 
     def stage_fn(self, t):
         """Batch evaluator of the stage-t value approximant (payoff at t=T), 1 <= t <= T."""
@@ -102,9 +100,7 @@ def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1):
         cont = continuation(X[idx], next_fn, Z, params).mean(axis=1)
         return np.maximum(payoff_batch(payoff, X[idx]), cont)
 
-    if n_jobs <= 1:
-        return X, np.concatenate(list(map(target, blocks)))
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, n_jobs)) as pool:
         return X, np.concatenate(list(pool.map(target, blocks)))
 
 
@@ -128,18 +124,15 @@ def backward_pass(run, n_jobs=1):
     the time-0 price, is ``price_at_origin``'s fresh evaluation at x0.
     """
     params, T, seed = run.params, run.steps, run.seed
-    stack = ValueFunctionStack(payoff=run.payoff, models=[None] * T, params=params,
-                               horizon=T, timings=[0.0] * T)
+    stack = ValueFunctionStack(payoff=run.payoff, models=[None] * T, params=params, horizon=T)
     for t in range(T - 1, 0, -1):
         cfg = run.stages[t]
-        tic = time.perf_counter()
         try:
             X, y = generate_stage_data(t, cfg, stack.stage_fn(t + 1), params, run.payoff,
                                        seed, n_jobs)
             model = _fit_stage(X, y, cfg, seed, t)
         except kernels.FitError as exc:
             raise kernels.FitError(f"stage {t}: {exc}") from exc
-        stack.timings[t] = time.perf_counter() - tic
         stack.models[t] = model
     return stack
 
@@ -222,6 +215,9 @@ def save_stack(stack, path):
         "r": stack.params.r,
         "payoff_kind": stack.payoff.kind,
         "strike": stack.payoff.strike,
+        "stages": [{"lengthscale": m.kernel.lengthscale, "lam": m.lam,
+                    "clip_bound": m.clip_bound, "constant": m.constant}
+                   for m in stack.models[1:]],
     }
     arrays = {
         "header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
@@ -232,13 +228,6 @@ def save_stack(stack, path):
     for t, m in enumerate(stack.models[1:], start=1):
         arrays[f"centers_{t}"] = m.centers
         arrays[f"coef_{t}"] = m.coefficients
-        arrays[f"meta_{t}"] = np.array([
-            m.kernel.lengthscale,
-            m.lam,
-            m.clip_bound if m.clip_bound is not None else np.nan,
-            m.constant if m.constant is not None else np.nan,
-            1.0 if m.constant is not None else 0.0,
-        ])
     with open(path, "wb") as f:
         np.savez(f, **arrays)
 
@@ -252,15 +241,13 @@ def load_stack(path):
                        rho=data["rho"], x0=data["x0"], dt=header["dt"])
     payoff = PayoffSpec(kind=header["payoff_kind"], strike=header["strike"])
     models = [None]
-    for t in range(1, header["T"]):
-        ls, lam, clip, const, is_const = data[f"meta_{t}"]
-        spec = KernelSpec(lengthscale=float(ls))
+    for t, stage in enumerate(header["stages"], start=1):
         models.append(KrrModel(
             centers=data[f"centers_{t}"],
             coefficients=data[f"coef_{t}"],
-            kernel=spec,
-            lam=float(lam),
-            clip_bound=None if np.isnan(clip) else float(clip),
-            constant=float(const) if is_const == 1.0 else None,
+            kernel=KernelSpec(lengthscale=stage["lengthscale"]),
+            lam=stage["lam"],
+            clip_bound=stage["clip_bound"],
+            constant=stage["constant"],
         ))
     return ValueFunctionStack(payoff=payoff, models=models, params=params, horizon=header["T"])

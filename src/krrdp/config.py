@@ -36,16 +36,6 @@ class ConfigError(ValueError):
     pass
 
 
-# Stage settings: (key suffix, StageConfig field, cast), each read as
-# stage.<suffix> and applied to every stage.
-_STAGE_FIELDS = (
-    ("n", "n", int),
-    ("M", "M", int),
-    ("lambda", "lam", float),
-    ("lengthscale", "kernel", lambda v: KernelSpec(lengthscale=float(v))),
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     params: GbmParams
@@ -193,11 +183,13 @@ def build_run_config(entries):
         raise ConfigError(str(exc)) from exc
 
     n_default, m_default = default_sample_sizes(d)
-    defaults = {"n": n_default, "M": m_default, "lam": DEFAULT_LAMBDA,
-                "kernel": KernelSpec(lengthscale=default_lengthscale(d, payoff_kind))}
-    settings = {fld: take("stage." + key, defaults[fld], cast) for key, fld, cast in _STAGE_FIELDS}
+    n = take("stage.n", n_default, int)
+    M = take("stage.M", m_default, int)
+    lam = take("stage.lambda", DEFAULT_LAMBDA, float)
+    kernel = take("stage.lengthscale", KernelSpec(default_lengthscale(d, payoff_kind)),
+                  lambda v: KernelSpec(lengthscale=float(v)))
     try:
-        stage = StageConfig(**settings)
+        stage = StageConfig(n=n, M=M, lam=lam, kernel=kernel)
     except ValueError as exc:
         raise ConfigError(f"stage settings: {exc}") from exc
 

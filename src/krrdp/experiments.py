@@ -1,6 +1,8 @@
 """Experiment orchestration: benchmark rows, convergence study, diagnostics."""
 
+import csv
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +21,6 @@ class PricingResult:
     price_mean: float
     ci95: tuple
     per_rep_prices: list
-    stage_timings: list  # mean seconds per stage
     config_hash: str
     d: int
     payoff_kind: str
@@ -47,17 +48,17 @@ def run_benchmark(cfg, n_jobs=1):
     """Repetitions x (backward pass + fresh origin evaluation), aggregated."""
     digest = config_hash(cfg)
     prices = []
-    timings = np.zeros(cfg.steps)
+    fit_seconds = 0.0
     first_stack = None
     for rep in range(cfg.repetitions):
         rep_cfg = replace(cfg, seed=_child_seed(cfg.seed, REP, rep))
+        tic = time.perf_counter()
         stack = bellman.backward_pass(rep_cfg, n_jobs)
+        fit_seconds += time.perf_counter() - tic
         if first_stack is None:
             first_stack = stack
         prices.append(bellman.price_at_origin(stack, cfg.eval_M,
                                               substream(rep_cfg.seed, EVAL)))
-        timings += np.asarray(stack.timings)
-    timings /= cfg.repetitions
     prices_arr = np.asarray(prices)
     mean = float(prices_arr.mean())
     if cfg.repetitions > 1:
@@ -73,12 +74,11 @@ def run_benchmark(cfg, n_jobs=1):
         price_mean=mean,
         ci95=ci,
         per_rep_prices=prices,
-        stage_timings=timings.tolist(),
         config_hash=digest,
         d=cfg.params.d,
         payoff_kind=cfg.payoff.kind,
         seed=cfg.seed,
-        seconds=float(timings.sum()),
+        seconds=fit_seconds / cfg.repetitions,
         lower_bound=lb,
         oracle_price=oracle_price(cfg),
     )
@@ -151,14 +151,6 @@ _CSV_COLUMNS = ("d", "payoff", "price", "ci_low", "ci_high", "oracle",
                 "lower_bound", "seconds", "seed", "config_hash")
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def _result_row(res):
     return [res.d, res.payoff_kind, res.price_mean, res.ci95[0], res.ci95[1],
             res.oracle_price, res.lower_bound[0] if res.lower_bound else None,
@@ -169,7 +161,7 @@ def emit_results(results, path):
     """Write a CSV header and one row per result."""
     if not results:
         raise ValueError("no results to emit")
-    with open(path, "w") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
-        for res in results:
-            fh.write(",".join(_fmt(v) for v in _result_row(res)) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerows(_result_row(res) for res in results)

@@ -1,7 +1,6 @@
 """Independent reference prices: 1-d reduction, CRR tree, LSMC baseline."""
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +98,8 @@ def longstaff_schwartz(params, payoff, steps, paths, basis_degree, rng):
     """Classical LSMC price with polynomial continuation regression.
 
     Returns (price, stderr). The regression is fit on in-the-money paths
-    only; on rank deficiency the polynomial degree is reduced with a warning.
+    only; a rank-deficient basis (at d = 1 the raw coordinate repeats the
+    payoff statistic) still gives the unique least-squares fitted values.
     """
     d, T = params.d, steps
     dim = basis_degree + 1 + (d if d <= 5 else 0)
@@ -117,16 +117,8 @@ def longstaff_schwartz(params, payoff, steps, paths, basis_degree, rng):
         itm = ex > 0
         if itm.sum() >= 10 * dim:
             disc_cf = cash[itm] * np.exp(-r * dt * (tau[itm] - t))
-            deg = basis_degree
-            while True:
-                A = _lsmc_basis(S[t][itm], payoff, deg)
-                beta, _, rank, _ = np.linalg.lstsq(A, disc_cf, rcond=None)
-                if rank == A.shape[1] or deg == 1:
-                    if rank < A.shape[1]:
-                        warnings.warn(f"LSMC basis rank-deficient at stage {t}")
-                    break
-                deg -= 1
-                warnings.warn(f"LSMC basis rank-deficient at stage {t}; degree -> {deg}")
+            A = _lsmc_basis(S[t][itm], payoff, basis_degree)
+            beta = np.linalg.lstsq(A, disc_cf, rcond=None)[0]
             cont = A @ beta
             stop = ex[itm] >= cont
             idx = np.flatnonzero(itm)[stop]

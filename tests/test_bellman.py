@@ -123,9 +123,8 @@ def test_backward_pass_structure_and_determinism():
     stack1 = backward_pass(run)
     stack2 = backward_pass(run)
     assert stack1.horizon == 3 and len(stack1.models) == 3
-    assert len(stack1.timings) == 3 and all(t >= 0 for t in stack1.timings)
     # stage 0 is the point mass at x0: no model, priced by price_at_origin
-    assert stack1.models[0] is None and stack1.timings[0] == 0.0
+    assert stack1.models[0] is None
     for t in range(1, 3):
         assert stack1.models[t].clip_bound is not None
         if stack1.models[t].constant is None:
@@ -268,6 +267,20 @@ def test_stack_serialization_round_trip(tmp_path):
     rng = substream(0, 1)
     X = rng.uniform(50.0, 200.0, size=(200, 2))
     assert loaded.models[0] is None
+    for t in range(1, stack.horizon + 1):
+        np.testing.assert_array_equal(stack.stage_fn(t)(X), loaded.stage_fn(t)(X))
+
+
+def test_stack_round_trip_keeps_a_constant_stage(tmp_path):
+    stack = backward_pass(small_run())
+    stack.models[1] = kernels.constant_model(3.25, KernelSpec(lengthscale=20.0), 1e-6,
+                                             clip_bound=2.5)
+    path = tmp_path / "stack.npz"
+    save_stack(stack, path)
+    loaded = load_stack(path)
+    assert loaded.models[1].constant == 3.25 and loaded.models[1].clip_bound == 2.5
+    assert loaded.models[2].constant is None
+    X = substream(0, 1).uniform(50.0, 200.0, size=(50, 2))
     for t in range(1, stack.horizon + 1):
         np.testing.assert_array_equal(stack.stage_fn(t)(X), loaded.stage_fn(t)(X))
 

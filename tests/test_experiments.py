@@ -41,7 +41,7 @@ def test_run_benchmark_populates_result():
     assert res.d == 2 and res.payoff_kind == "geo_basket_put"
     assert len(res.per_rep_prices) == 3
     assert res.ci95[0] <= res.price_mean <= res.ci95[1]
-    assert len(res.stage_timings) == 3 and res.seconds > 0
+    assert res.seconds > 0
     assert res.oracle_price is not None and 0 < res.oracle_price < 100
     assert len(res.config_hash) == 16
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,11 +109,16 @@ def test_lsmc_single_date_matches_european():
     assert abs(price - bs) <= 4 * se
 
 
-def test_lsmc_bermudan_put_close_to_binomial_oracle():
-    params = make_params()
+@pytest.mark.parametrize("d", [1, 2])
+def test_lsmc_bermudan_put_close_to_binomial_oracle(d):
+    # At d = 1 the raw coordinate repeats the payoff statistic: the basis is
+    # rank-deficient at every stage, and the fit must neither warn nor drop a degree.
+    params = make_params(d=d)
     payoff = PayoffSpec(kind="geo_basket_put", strike=100.0)
-    price, se = oracles.longstaff_schwartz(params, payoff, steps=9, paths=50_000,
-                                           basis_degree=2, rng=substream(1, 9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        price, se = oracles.longstaff_schwartz(params, payoff, steps=9, paths=50_000,
+                                               basis_degree=2, rng=substream(1, 9))
     red = geometric_reduction(params, maturity=1.0, steps=9)
     oracle = crr_binomial_american(red, 100.0, kind="put", tree_steps=9000)
     # LSMC uses a suboptimal rule but an in-sample estimate; allow a small band
