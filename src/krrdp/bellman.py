@@ -66,10 +66,6 @@ class ValueFunctionStack:
         return lambda X: kernels.clipped_predict_batch(model, X)
 
 
-def discount(params):
-    return math.exp(-params.r * params.dt)
-
-
 def continuation(X, next_fn, Z, params):
     """The (n, M) matrix of discounted next values e^{-r dt} next_fn(step(X_i, Z_ij)).
 
@@ -79,7 +75,7 @@ def continuation(X, next_fn, Z, params):
     """
     n, M, d = Z.shape
     xn = gbm_step(X[:, None, :], params, Z)
-    return discount(params) * next_fn(xn.reshape(-1, d)).reshape(n, M)
+    return math.exp(-params.r * params.dt) * next_fn(xn.reshape(-1, d)).reshape(n, M)
 
 
 def _inner_normals(seed, t, idx, M, d):
@@ -100,7 +96,7 @@ def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1):
         cont = continuation(X[idx], next_fn, Z, params).mean(axis=1)
         return np.maximum(payoff_batch(payoff, X[idx]), cont)
 
-    with ThreadPoolExecutor(max_workers=max(1, n_jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
         return X, np.concatenate(list(pool.map(target, blocks)))
 
 

@@ -21,15 +21,6 @@ def _int_list(text):
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _m_pair(text):
-    try:
-        m_small, m_large = (int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected two integers M_small,M_large, got {text!r}") from None
-    return m_small, m_large
-
-
 def cmd_price(args):
     res = experiments.run_benchmark(load_config(args.config), n_jobs=args.jobs)
     print(f"price {res.price_mean:.4f}  ci95 [{res.ci95[0]:.4f}, {res.ci95[1]:.4f}]"
@@ -55,8 +46,8 @@ def cmd_converge(args):
 
 
 def cmd_mc_diag(args):
-    gap = experiments.mc_error_diagnostic(load_config(args.config), args.m)
-    print(f"rms_gap {gap:.6g}")
+    se = experiments.mc_error_diagnostic(load_config(args.config))
+    print(f"inner_mc_se {se:.6g}")
     return 0
 
 
@@ -84,7 +75,6 @@ def main(argv=None):
 
     p = sub.add_parser("mc-diag", help="continuation-value MC error diagnostic")
     _add_common(p, jobs=False)
-    p.add_argument("--m", required=True, type=_m_pair, help="M_small,M_large")
     p.set_defaults(fn=cmd_mc_diag)
 
     p = sub.add_parser("dump-stack", help="fit and serialize the value-function stack")
@@ -93,6 +83,8 @@ def main(argv=None):
     p.set_defaults(fn=cmd_dump_stack)
 
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        parser.error("argument --jobs: must be at least 1")
     try:
         return args.fn(args)
     except (ConfigError, ValueError, OSError) as exc:

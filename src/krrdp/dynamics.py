@@ -17,7 +17,6 @@ EVAL = 2    # fresh time-0 evaluation
 LOWER = 3   # lower-bound policy simulation
 REP = 4     # per-repetition root
 # Renumbering a purpose changes every draw made under it.
-DIAG = 7    # root of the inner-MC error diagnostic
 NYSTROM = 8  # Nystrom center subsample
 
 
@@ -65,12 +64,6 @@ class GbmParams:
         object.__setattr__(self, "corr_root", L)
 
 
-def correlate(z, params):
-    """Apply the Cholesky root of rho: z (d,) or (m, d) -> correlated normals."""
-    z = np.asarray(z, dtype=np.float64)
-    return z @ params.corr_root.T
-
-
 def gbm_step(x, params, z):
     """One log-Euler step; x and output strictly positive.
 
@@ -78,7 +71,8 @@ def gbm_step(x, params, z):
     """
     x = np.asarray(x, dtype=np.float64)
     drift = (params.r - 0.5 * params.sigma**2) * params.dt
-    shock = params.sigma * np.sqrt(params.dt) * correlate(z, params)
+    z = np.asarray(z, dtype=np.float64)
+    shock = params.sigma * np.sqrt(params.dt) * (z @ params.corr_root.T)
     return x * np.exp(drift + shock)
 
 

@@ -10,7 +10,7 @@ from scipy.stats import spearmanr
 
 from . import bellman, oracles
 from .config import config_hash
-from .dynamics import DIAG, EVAL, LOWER, OUTER, REP, sample_mu_t, substream
+from .dynamics import EVAL, LOWER, OUTER, REP, sample_mu_t, substream
 from .payoffs import GEO_BASKET_PUT, payoff_batch
 
 ORACLE_TREE_STEPS_PER_DATE = 1000
@@ -126,25 +126,22 @@ def convergence_study(cfg, n_grid, n_jobs=1):
     return rows, rho
 
 
-def mc_error_diagnostic(cfg, m_pair):
-    """RMS gap between continuation estimates at M_small vs M_large.
+def mc_error_diagnostic(cfg):
+    """Standard error of stage T-1's M-sample continuation means, on the run's own draws.
 
-    Shared outer points and shared noise prefix per point (the small estimate
-    averages the first M_small of the large estimate's M_large draws), so
-    equal M gives exactly 0 and the gap scales like sqrt(1/M_small - 1/M_large).
+    X and the inner shocks are those ``backward_pass(cfg)`` draws at t = T-1,
+    so the row means of S below are its continuation values. Returns
+    sqrt(mean_i s_i^2 / M), s_i^2 the sample variance of row i; at another
+    sample size M' it scales by sqrt(M / M').
     """
-    m_small, m_large = m_pair
-    if not 1 <= m_small <= m_large:
-        raise ValueError("need 1 <= M_small <= M_large")
     t = cfg.steps - 1
-    params = cfg.params
-    n = cfg.stages[t].n
-    seed = _child_seed(cfg.seed, DIAG)
-    X = sample_mu_t(params, t, n, substream(seed, OUTER, t))
-    Z = bellman._inner_normals(seed, t, range(n), m_large, params.d)
+    params, stage = cfg.params, cfg.stages[t]
+    if stage.M < 2:
+        raise ValueError(f"need M >= 2 for a sample variance, got M={stage.M}")
+    X = sample_mu_t(params, t, stage.n, substream(cfg.seed, OUTER, t))
+    Z = bellman._inner_normals(cfg.seed, t, range(stage.n), stage.M, params.d)
     S = bellman.continuation(X, lambda Xb: payoff_batch(cfg.payoff, Xb), Z, params)
-    gaps = S[:, :m_small].mean(axis=1) - S.mean(axis=1)
-    return float(np.sqrt(np.mean(gaps**2)))
+    return float(np.sqrt(np.mean(S.var(axis=1, ddof=1)) / stage.M))
 
 
 _CSV_COLUMNS = ("d", "payoff", "price", "ci_low", "ci_high", "oracle",

@@ -104,11 +104,15 @@ def _rbf_gram(X, centers, lengthscale, out=None, lift=None):
 
 def gram_matrix(X, Y, spec):
     """Gram block exp(-||x - y||^2 / (2 l^2)) for row sets X (n, d), Y (m, d)."""
+    same = Y is X
     X = _as_matrix(X)
     Y = _as_matrix(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    return _rbf_gram(X, _lift_centers(Y), spec.lengthscale)
+    G = _rbf_gram(X, _lift_centers(Y), spec.lengthscale)
+    if same:
+        np.fill_diagonal(G, 1.0)  # k(x, x) = 1, which the GEMM loses to cancellation
+    return G
 
 
 def _solve_spd(A, b, jitter_scale):
@@ -138,10 +142,8 @@ def krr_fit(X, y, lam, spec):
         raise ValueError("X and y must be nonempty and of equal length")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    G = gram_matrix(X, X, spec)
-    np.fill_diagonal(G, 1.0)  # k(x, x) = 1, which the GEMM loses to cancellation
-    A = G + (lam * n) * np.eye(n)
-    alpha = _solve_spd(A, y, 1e-10 * np.trace(G) / n)
+    A = gram_matrix(X, X, spec) + (lam * n) * np.eye(n)
+    alpha = _solve_spd(A, y, 1e-10)
     return KrrModel(centers=X, coefficients=alpha, kernel=spec, lam=float(lam))
 
 

@@ -55,8 +55,11 @@ def test_stage_config_validation():
 
 
 def test_discount():
+    # continuation's discount factor is e^{-r dt}: a constant next function
     params = make_params()
-    assert bellman.discount(params) == pytest.approx(math.exp(-0.05 / 9.0), rel=1e-14)
+    S = continuation(np.tile(params.x0, (2, 1)), lambda Xb: np.ones(len(Xb)),
+                     np.zeros((2, 3, 2)), params)
+    assert np.all(S == pytest.approx(math.exp(-0.05 / 9.0), rel=1e-14))
 
 
 def test_continuation_value_matches_manual_mc():
@@ -67,7 +70,7 @@ def test_continuation_value_matches_manual_mc():
     S = continuation(X, lambda Xb: payoff_batch(payoff, Xb), Z, params)
     assert S.shape == (3, 64)
     for i in range(3):
-        manual = bellman.discount(params) * payoff_batch(payoff, gbm_step(X[i], params, Z[i]))
+        manual = math.exp(-0.05 / 9.0) * payoff_batch(payoff, gbm_step(X[i], params, Z[i]))
         np.testing.assert_allclose(S[i], manual, rtol=1e-12, atol=1e-12)
 
 
@@ -80,7 +83,7 @@ def test_stage_targets_equal_max_of_exercise_and_continuation():
     np.testing.assert_array_equal(X, sample_mu_t(params, t, 40, substream(run.seed, OUTER, t)))
     for i in (0, 17, 39):
         z = substream(run.seed, INNER, t, i).standard_normal((M, 2))
-        cont = bellman.discount(params) * next_fn(gbm_step(X[i], params, z)).mean()
+        cont = math.exp(-0.05 / 3.0) * next_fn(gbm_step(X[i], params, z)).mean()
         exercise = payoff_batch(payoff, X[i:i + 1])[0]
         assert y[i] == pytest.approx(max(exercise, cont), rel=1e-12, abs=1e-12)
 
@@ -103,6 +106,14 @@ def test_generate_stage_data_bitwise_thread_invariance(jobs):
     Xj, yj = generate_stage_data(2, run.stages[2], next_fn, params, payoff, run.seed, n_jobs=jobs)
     np.testing.assert_array_equal(X1, Xj)
     np.testing.assert_array_equal(y1, yj)
+
+
+def test_generate_stage_data_rejects_zero_jobs():
+    run = small_run()
+    payoff = run.payoff
+    with pytest.raises(ValueError):
+        generate_stage_data(2, run.stages[2], lambda Xb: payoff_batch(payoff, Xb),
+                            run.params, payoff, run.seed, n_jobs=0)
 
 
 def test_generate_stage_data_kernel_targets_bitwise_across_jobs():

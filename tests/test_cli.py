@@ -65,16 +65,15 @@ def test_converge_command(cfg_path, capsys):
 
 
 def test_mc_diag_command(cfg_path, capsys):
-    assert main(["mc-diag", "--config", cfg_path, "--m", "16,16"]) == 0
-    assert "rms_gap 0" in capsys.readouterr().out
+    assert main(["mc-diag", "--config", cfg_path]) == 0
+    assert capsys.readouterr().out.startswith("inner_mc_se ")
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    ("mc-diag", "--m", "16"),
-    ("mc-diag", "--m", "16,32,64"),
-    ("mc-diag", "--m", "a,b"),
     ("converge", "--n-grid", "x"),
-], ids=["m-one-value", "m-three-values", "m-not-int", "n-grid-not-int"])
+    ("price", "--jobs", "0"),
+    ("price", "--jobs", "-3"),
+], ids=["n-grid-not-int", "jobs-zero", "jobs-negative"])
 def test_malformed_list_argument_names_its_flag(command, flag, value, cfg_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", cfg_path, flag, value])

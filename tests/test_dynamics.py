@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from krrdp import dynamics
-from krrdp.dynamics import GbmParams, correlate, gbm_step, sample_mu_t, substream
+from krrdp.dynamics import GbmParams, gbm_step, sample_mu_t, substream
 
 
 def make_params(d=2, rho_off=0.2, dt=1.0 / 9.0, sigma=0.2):
@@ -62,10 +62,13 @@ def test_gbm_step_positive():
     assert np.all(out > 0)
 
 
-def test_correlate_identity_when_uncorrelated():
+def test_gbm_step_componentwise_when_uncorrelated():
     params = make_params(rho_off=0.0)
-    z = np.random.default_rng(2).standard_normal((10, 2))
-    np.testing.assert_allclose(correlate(z, params), z)
+    x = np.random.default_rng(2).uniform(50.0, 150.0, size=(10, 2))
+    z = np.random.default_rng(3).standard_normal((10, 2))
+    drift = (0.05 - 0.5 * 0.2**2) / 9.0
+    expected = x * np.exp(drift + 0.2 * math.sqrt(1.0 / 9.0) * z)
+    np.testing.assert_allclose(gbm_step(x, params, z), expected, rtol=1e-14, atol=0)
 
 
 def test_martingale_property():
@@ -123,5 +126,5 @@ def test_substream_determinism_and_independence():
 
 def test_purpose_constants_are_distinct():
     purposes = [dynamics.OUTER, dynamics.INNER, dynamics.EVAL, dynamics.LOWER, dynamics.REP,
-                dynamics.DIAG, dynamics.NYSTROM]
+                dynamics.NYSTROM]
     assert len(set(purposes)) == len(purposes)

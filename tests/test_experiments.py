@@ -16,7 +16,7 @@ from krrdp.experiments import (
     run_benchmark,
 )
 from krrdp.kernels import FitError
-from krrdp.payoffs import PAYOFF_KINDS
+from krrdp.payoffs import PAYOFF_KINDS, payoff_batch
 
 
 def tiny_config(payoff="geo_basket_put", **overrides):
@@ -141,15 +141,41 @@ def test_convergence_study_row_shape():
     assert -1.0 <= rho <= 1.0
 
 
-def test_mc_diagnostic_zero_at_equal_m_and_clt_scaling():
-    cfg = tiny_config(**{"stage.n": "200"})
-    assert mc_error_diagnostic(cfg, (64, 64)) == 0.0
-    wide = mc_error_diagnostic(cfg, (25, 400))
-    narrow = mc_error_diagnostic(cfg, (100, 400))
-    # gaps scale like sqrt(1/M_small - 1/M_large): ratio sqrt(5) ~ 2.24
-    assert 1.6 <= wide / narrow <= 2.6
-    with pytest.raises(ValueError):
-        mc_error_diagnostic(cfg, (400, 25))
+def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
+    # The diagnostic's continuation matrix is the one behind stage T-1's targets.
+    cfg = tiny_config()
+    t, stage = cfg.steps - 1, cfg.stages[-1]
+    calls = []
+    continuation = bellman.continuation
+
+    def recording(X, next_fn, Z, params):
+        S = continuation(X, next_fn, Z, params)
+        calls.append((X, S))
+        return S
+
+    monkeypatch.setattr(bellman, "continuation", recording)
+    se = mc_error_diagnostic(cfg)
+    monkeypatch.undo()
+    [(X, S)] = calls
+    payoff_fn = lambda Xb: payoff_batch(cfg.payoff, Xb)
+    X_run, y_run = bellman.generate_stage_data(t, stage, payoff_fn, cfg.params, cfg.payoff,
+                                               cfg.seed)
+    np.testing.assert_array_equal(X, X_run)
+    np.testing.assert_array_equal(np.maximum(payoff_fn(X), S.mean(axis=1)), y_run)
+    assert S.shape == (stage.n, stage.M)
+    assert se == math.sqrt(np.mean(S.var(axis=1, ddof=1)) / stage.M)
+
+
+def test_mc_diagnostic_clt_scaling():
+    small = mc_error_diagnostic(tiny_config(**{"stage.n": "200", "stage.M": "64"}))
+    large = mc_error_diagnostic(tiny_config(**{"stage.n": "200", "stage.M": "256"}))
+    # the standard error scales like 1/sqrt(M): ratio sqrt(4) = 2
+    assert 1.6 <= small / large <= 2.5
+
+
+def test_mc_diagnostic_rejects_m_below_two():
+    with pytest.raises(ValueError, match="M >= 2"):
+        mc_error_diagnostic(tiny_config(**{"stage.M": "1"}))
 
 
 def test_emit_results_csv_round_trip(tmp_path):

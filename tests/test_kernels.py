@@ -145,6 +145,7 @@ def test_fitted_gram_diagonal_is_exactly_one(d, lengthscale, monkeypatch, caplog
     assert np.all(np.diag(exact) == 1.0)  # lambda = 0: the system is the Gram matrix
     assert np.all(np.diag(nystrom) == 1.0 + 1e-3 * 400)  # Knm'Knm + lambda n Kmm
     assert caplog.records == []
+    assert np.all(np.diag(kernels.gram_matrix(X, X, spec)) == 1.0)
 
 
 def test_kernel_spec_validation():
