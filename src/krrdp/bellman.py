@@ -79,10 +79,18 @@ def continuation(X, next_fn, Z, params):
 
 
 def _inner_normals(seed, t, idx, M, d):
-    """Inner-MC shocks (len(idx), M, d); point i draws from substream(seed, INNER, t, i)."""
+    """Antithetic inner-MC shocks (len(idx), M, d), keyed by substream(seed, INNER, t, i).
+
+    Point i draws H = ceil(M/2) rows into Z[j, :H]; Z[j, H:] mirrors the first
+    M - H of them, so for odd M one draw stays unpaired. Each row mean is still
+    an unbiased continuation estimate; only its variance changes (Glasserman,
+    Monte Carlo Methods in Financial Engineering, 2004, sec. 4.2).
+    """
+    H = (M + 1) // 2
     Z = np.empty((len(idx), M, d))
     for j, i in enumerate(idx):
-        Z[j] = substream(seed, INNER, t, i).standard_normal((M, d))
+        Z[j, :H] = substream(seed, INNER, t, i).standard_normal((H, d))
+    np.negative(Z[:, :M - H], out=Z[:, H:])
     return Z
 
 

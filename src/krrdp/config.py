@@ -27,9 +27,14 @@ DEFAULT_LAMBDA = 1e-6
 PUT_LENGTHSCALE_BASE = 40.0 / math.sqrt(2.0)
 MAX_CALL_LENGTHSCALE = 20.0 * math.sqrt(10.0)
 
-# Multiplier on the baseline inner-MC counts; the baseline M leaves an
-# upward max-of-noisy-MC bias larger than the oracle agreement we target.
-INNER_MC_MULTIPLIER = 16
+# Multiplier on the baseline inner-MC counts. The baseline M alone leaves an
+# upward max-of-noisy-MC bias larger than the oracle agreement we target. The
+# targets' inner draws are antithetic pairs, which at this multiplier measure
+# the same continuation error as i.i.d. draws at 16: stage T-1 standard error
+# 0.0553 against 0.0604 on the d=10 put, RMS error against a 32768-draw
+# reference within 25% either way on the put d=10 and call d=5 rows, and the
+# seed-7 acceptance prices within 0.02. i.i.d. draws at this M are ~2.8x worse.
+INNER_MC_MULTIPLIER = 2
 
 
 class ConfigError(ValueError):
@@ -74,7 +79,8 @@ def default_lengthscale(d, payoff_kind):
 def default_sample_sizes(d):
     """Stage sizes interpolated linearly in d between (2, 200, 50) and (20, 800, 100).
 
-    The inner-MC count is additionally scaled by INNER_MC_MULTIPLIER.
+    The inner-MC count is additionally scaled by INNER_MC_MULTIPLIER = 2, for
+    M = 100, 116 and 144 at d = 2, 5 and 10.
     """
     frac = (max(d, 2) - 2) / 18.0
     n = round(200 + 600 * frac)

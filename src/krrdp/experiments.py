@@ -1,6 +1,7 @@
 """Experiment orchestration: benchmark rows, convergence study, diagnostics."""
 
 import csv
+import logging
 import math
 import time
 from dataclasses import dataclass, replace
@@ -14,6 +15,12 @@ from .dynamics import EVAL, LOWER, OUTER, REP, sample_mu_t, substream
 from .payoffs import GEO_BASKET_PUT, payoff_batch
 
 ORACLE_TREE_STEPS_PER_DATE = 1000
+
+# A price this many pooled standard errors below the policy lower bound on
+# the same stack is impossible for a working pricer.
+BRACKET_Z = 3.0
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -70,6 +77,12 @@ def run_benchmark(cfg, n_jobs=1):
     if cfg.lower_bound:
         lb = bellman.policy_lower_bound(first_stack, cfg.lb_paths,
                                         substream(cfg.seed, LOWER))
+        price_se = (ci[1] - mean) / 1.96
+        if lb[0] - mean > BRACKET_Z * math.hypot(price_se, lb[1]):
+            logger.warning("price %.4f (stderr %.4f) lies below the policy lower bound %.4f "
+                           "(stderr %.4f) on the same stack; the stage models are degenerate, "
+                           "check stage.lambda and stage.lengthscale",
+                           mean, price_se, lb[0], lb[1])
     return PricingResult(
         price_mean=mean,
         ci95=ci,
@@ -130,18 +143,22 @@ def mc_error_diagnostic(cfg):
     """Standard error of stage T-1's M-sample continuation means, on the run's own draws.
 
     X and the inner shocks are those ``backward_pass(cfg)`` draws at t = T-1,
-    so the row means of S below are its continuation values. Returns
-    sqrt(mean_i s_i^2 / M), s_i^2 the sample variance of row i; at another
-    sample size M' it scales by sqrt(M / M').
+    so the row means of S below are its continuation values. The draws come
+    in p = M // 2 antithetic pairs, columns j and H + j with H = ceil(M/2), so
+    the i.i.d. units are the pair means P_ij; an odd M's unpaired column is
+    left out. Returns sqrt(mean_i s_i^2 / p), s_i^2 the sample variance of
+    row i of P; at another sample size M' it scales by sqrt(M / M').
     """
     t = cfg.steps - 1
     params, stage = cfg.params, cfg.stages[t]
-    if stage.M < 2:
-        raise ValueError(f"need M >= 2 for a sample variance, got M={stage.M}")
+    if stage.M < 4:
+        raise ValueError(f"need M >= 4 for a variance over two antithetic pairs, got M={stage.M}")
     X = sample_mu_t(params, t, stage.n, substream(cfg.seed, OUTER, t))
     Z = bellman._inner_normals(cfg.seed, t, range(stage.n), stage.M, params.d)
     S = bellman.continuation(X, lambda Xb: payoff_batch(cfg.payoff, Xb), Z, params)
-    return float(np.sqrt(np.mean(S.var(axis=1, ddof=1)) / stage.M))
+    p, H = stage.M // 2, (stage.M + 1) // 2
+    P = 0.5 * (S[:, :p] + S[:, H:])
+    return float(np.sqrt(np.mean(P.var(axis=1, ddof=1)) / p))
 
 
 _CSV_COLUMNS = ("d", "payoff", "price", "ci_low", "ci_high", "oracle",

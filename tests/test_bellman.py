@@ -82,10 +82,35 @@ def test_stage_targets_equal_max_of_exercise_and_continuation():
     X, y = generate_stage_data(t, run.stages[t], next_fn, params, payoff, run.seed)
     np.testing.assert_array_equal(X, sample_mu_t(params, t, 40, substream(run.seed, OUTER, t)))
     for i in (0, 17, 39):
-        z = substream(run.seed, INNER, t, i).standard_normal((M, 2))
+        half = substream(run.seed, INNER, t, i).standard_normal((M // 2, 2))
+        z = np.concatenate([half, -half])
         cont = math.exp(-0.05 / 3.0) * next_fn(gbm_step(X[i], params, z)).mean()
         exercise = payoff_batch(payoff, X[i:i + 1])[0]
         assert y[i] == pytest.approx(max(exercise, cont), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("M", [8, 7])
+def test_inner_normals_are_antithetic_pairs_from_each_points_substream(M):
+    seed, t, idx, d = 5, 2, [3, 0, 11], 3
+    H = (M + 1) // 2
+    Z = bellman._inner_normals(seed, t, idx, M, d)
+    assert Z.shape == (3, M, d)
+    for j, i in enumerate(idx):
+        np.testing.assert_array_equal(Z[j, :H],
+                                      substream(seed, INNER, t, i).standard_normal((H, d)))
+    np.testing.assert_array_equal(Z[:, H:], -Z[:, :M - H])
+
+
+def test_antithetic_continuation_is_exact_on_an_odd_integrand():
+    # log x' - log x - (r - sigma^2/2) dt is linear in z, so each pair's mean
+    # of sum_k log x'_k is exact.
+    params = make_params(d=3)
+    X = sample_mu_t(params, 4, 25, substream(9, OUTER, 4))
+    Z = bellman._inner_normals(9, 4, range(25), 16, 3)
+    cont = continuation(X, lambda Xb: np.log(Xb).sum(axis=1), Z, params).mean(axis=1)
+    drift = (params.r - 0.5 * params.sigma ** 2) * params.dt
+    exact = math.exp(-params.r * params.dt) * (np.log(X) + drift).sum(axis=1)
+    np.testing.assert_allclose(cont, exact, rtol=1e-12)
 
 
 def test_generate_stage_data_targets_dominate_exercise():

@@ -50,6 +50,10 @@ def test_default_sample_sizes_interpolation():
     assert default_sample_sizes(2)[1] % 50 == 0
 
 
+def test_default_inner_sample_sizes():
+    assert [default_sample_sizes(d)[1] for d in (2, 5, 10)] == [100, 116, 144]
+
+
 def test_default_lengthscale_payoff_aware():
     assert default_lengthscale(2, "geo_basket_put") == pytest.approx(PUT_LENGTHSCALE_BASE)
     assert default_lengthscale(10, "geo_basket_put") > default_lengthscale(2, "geo_basket_put")

@@ -1,5 +1,7 @@
 import csv
+import logging
 import math
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from krrdp import bellman, experiments
-from krrdp.config import ConfigError, build_run_config
+from krrdp.config import ConfigError, build_run_config, load_config
 from krrdp.dynamics import REP
 from krrdp.experiments import (
     emit_results,
@@ -163,7 +165,10 @@ def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
     np.testing.assert_array_equal(X, X_run)
     np.testing.assert_array_equal(np.maximum(payoff_fn(X), S.mean(axis=1)), y_run)
     assert S.shape == (stage.n, stage.M)
-    assert se == math.sqrt(np.mean(S.var(axis=1, ddof=1)) / stage.M)
+    # the i.i.d. units are the means of the M / 2 antithetic pairs (j, M/2 + j)
+    p = stage.M // 2
+    P = 0.5 * (S[:, :p] + S[:, p:])
+    assert se == math.sqrt(np.mean(P.var(axis=1, ddof=1)) / p)
 
 
 def test_mc_diagnostic_clt_scaling():
@@ -173,9 +178,32 @@ def test_mc_diagnostic_clt_scaling():
     assert 1.6 <= small / large <= 2.5
 
 
-def test_mc_diagnostic_rejects_m_below_two():
-    with pytest.raises(ValueError, match="M >= 2"):
-        mc_error_diagnostic(tiny_config(**{"stage.M": "1"}))
+def test_mc_diagnostic_rejects_m_below_four():
+    with pytest.raises(ValueError, match="M >= 4"):
+        mc_error_diagnostic(tiny_config(**{"stage.M": "3"}))
+
+
+QUICK_CFG = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
+
+
+def test_price_below_lower_bound_warns(caplog, tmp_path):
+    # lambda = 1e300 shrinks every stage model to 0, so the price reads 0.0
+    # against a policy lower bound near 3.8.
+    path = tmp_path / "degenerate.cfg"
+    path.write_text(QUICK_CFG.read_text() + "stage.lambda = 1e300\n")
+    with caplog.at_level(logging.WARNING, logger="krrdp.experiments"):
+        res = run_benchmark(load_config(path))
+    [record] = caplog.records
+    assert res.price_mean < 1e-6 < res.lower_bound[0]
+    assert "below the policy lower bound" in record.getMessage()
+    assert "stage.lambda" in record.getMessage()
+
+
+def test_shipped_quick_config_does_not_warn(caplog):
+    with caplog.at_level(logging.WARNING, logger="krrdp.experiments"):
+        res = run_benchmark(load_config(QUICK_CFG))
+    assert res.lower_bound is not None
+    assert caplog.records == []
 
 
 def test_emit_results_csv_round_trip(tmp_path):
