@@ -178,6 +178,22 @@ def test_mc_diagnostic_clt_scaling():
     assert 1.6 <= small / large <= 2.5
 
 
+def test_mc_diagnostic_leaves_out_an_odd_ms_unpaired_draw(monkeypatch):
+    # M = 7: pairs (0, 4), (1, 5), (2, 6); column 3 has no partner.
+    calls = []
+    continuation = bellman.continuation
+
+    def recording(*args):
+        calls.append(continuation(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(bellman, "continuation", recording)
+    se = mc_error_diagnostic(tiny_config(**{"stage.M": "7"}))
+    [S] = calls
+    P = 0.5 * (S[:, :3] + S[:, 4:])
+    assert se == math.sqrt(np.mean(P.var(axis=1, ddof=1)) / 3)
+
+
 def test_mc_diagnostic_rejects_m_below_four():
     with pytest.raises(ValueError, match="M >= 4"):
         mc_error_diagnostic(tiny_config(**{"stage.M": "3"}))
