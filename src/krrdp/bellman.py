@@ -2,8 +2,10 @@
 
 Stage models approximate the value functions V_t for t = 1..T-1 (V_T is the
 known terminal payoff; V_0 is needed only at x0, where ``price_at_origin``
-estimates it). All randomness is drawn from counter-based substreams keyed by
-(seed, purpose, stage, point index), so target generation is order-independent.
+estimates it). Every continuation average steps on ``pair_shocks``' antithetic
+pairs. A stage draws its training states and its inner shocks from one
+counter-based substream each, keyed by (seed, purpose, stage), before the
+target blocks start, so the targets do not depend on the thread count.
 """
 
 import json
@@ -29,7 +31,7 @@ TARGET_BLOCKS = 8
 
 STACK_FORMAT_VERSION = 4
 
-# Inner Monte Carlo draws per path behind policy_lower_bound's exercise rule.
+# Inner MC draws per path behind policy_lower_bound's exercise rule: 32 pairs.
 LOWER_BOUND_INNER_M = 64
 
 
@@ -66,46 +68,42 @@ class ValueFunctionStack:
         return lambda X: kernels.clipped_predict_batch(model, X)
 
 
+def pair_shocks(rng, n, M, d):
+    """One shock of each antithetic pair for n M-draw averages: shape (n, ceil(M/2), d).
+
+    Pairing z with -z keeps each average unbiased and cuts its variance
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2004, sec. 4.2);
+    an odd M rounds up to M + 1 draws.
+    """
+    return rng.standard_normal((n, (M + 1) // 2, d))
+
+
 def continuation(X, next_fn, Z, params):
-    """The (n, M) matrix of discounted next values e^{-r dt} next_fn(step(X_i, Z_ij)).
+    """The (n, 2h) matrix of discounted next values e^{-r dt} next_fn(step(X_i, +-Z_ij)).
 
-    Each state X_i (a row of X, shape (n, d)) takes one GBM step per shock
-    Z_ij (Z has shape (n, M, d)), and next_fn is evaluated once on all n*M
-    next states. Row means are the M-sample Monte Carlo continuation values.
+    Each state X_i (a row of X, shape (n, d)) steps once per shock Z_ij and
+    once per -Z_ij (Z has shape (n, h, d), from ``pair_shocks``), and next_fn
+    is evaluated once on all 2nh next states. Columns j and h + j are a pair;
+    row means are the Monte Carlo continuation values.
     """
-    n, M, d = Z.shape
-    xn = gbm_step(X[:, None, :], params, Z)
-    return math.exp(-params.r * params.dt) * next_fn(xn.reshape(-1, d)).reshape(n, M)
-
-
-def _inner_normals(seed, t, idx, M, d):
-    """Antithetic inner-MC shocks (len(idx), M, d), keyed by substream(seed, INNER, t, i).
-
-    Point i draws H = ceil(M/2) rows into Z[j, :H]; Z[j, H:] mirrors the first
-    M - H of them, so for odd M one draw stays unpaired. Each row mean is still
-    an unbiased continuation estimate; only its variance changes (Glasserman,
-    Monte Carlo Methods in Financial Engineering, 2004, sec. 4.2).
-    """
-    H = (M + 1) // 2
-    Z = np.empty((len(idx), M, d))
-    for j, i in enumerate(idx):
-        Z[j, :H] = substream(seed, INNER, t, i).standard_normal((H, d))
-    np.negative(Z[:, :M - H], out=Z[:, H:])
-    return Z
+    n, h, d = Z.shape
+    xn = gbm_step(X[:, None, :], params, np.concatenate((Z, -Z), axis=1))
+    return math.exp(-params.r * params.dt) * next_fn(xn.reshape(-1, d)).reshape(n, 2 * h)
 
 
 def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1):
     """Supervised pairs (X, y) at stage t: y_i = max(exercise, MC continuation)."""
     X = sample_mu_t(params, t, cfg.n, substream(seed, OUTER, t))
-    blocks = np.array_split(np.arange(cfg.n), TARGET_BLOCKS)
+    Z = pair_shocks(substream(seed, INNER, t), cfg.n, cfg.M, params.d)
 
-    def target(idx):
-        Z = _inner_normals(seed, t, idx, cfg.M, params.d)
-        cont = continuation(X[idx], next_fn, Z, params).mean(axis=1)
-        return np.maximum(payoff_batch(payoff, X[idx]), cont)
+    def target(Xb, Zb):
+        cont = continuation(Xb, next_fn, Zb, params).mean(axis=1)
+        return np.maximum(payoff_batch(payoff, Xb), cont)
 
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return X, np.concatenate(list(pool.map(target, blocks)))
+        blocks = pool.map(target, np.array_split(X, TARGET_BLOCKS),
+                          np.array_split(Z, TARGET_BLOCKS))
+        return X, np.concatenate(list(blocks))
 
 
 def _fit_stage(X, y, cfg, seed, t):
@@ -145,7 +143,7 @@ def price_at_origin(stack, eval_M, rng):
     """Time-0 Bellman value at x0 with a fresh eval_M-sample continuation."""
     params = stack.params
     x0 = params.x0[None]
-    Z = rng.standard_normal((1, eval_M, params.d))
+    Z = pair_shocks(rng, 1, eval_M, params.d)
     cont = continuation(x0, stack.stage_fn(1), Z, params).mean()
     return float(max(payoff_batch(stack.payoff, x0)[0], cont))
 
@@ -171,7 +169,7 @@ def policy_lower_bound(stack, paths, rng):
         if alive.size == 0:
             break
         C = payoff_batch(payoff, x)
-        z = rng.standard_normal((x.shape[0], LOWER_BOUND_INNER_M, d))
+        z = pair_shocks(rng, x.shape[0], LOWER_BOUND_INNER_M, d)
         stop = C > 0
         cont = continuation(x[stop], stack.stage_fn(t + 1), z[stop], params).mean(axis=1)
         stop[stop] = C[stop] >= cont
@@ -195,7 +193,7 @@ def contraction_check(f, g, t, n_eval, M, params, payoff, rng):
     the shared propagated samples. lhs <= rhs pathwise.
     """
     X = sample_mu_t(params, t, n_eval, rng)
-    Z = rng.standard_normal((n_eval, M, params.d))
+    Z = pair_shocks(rng, n_eval, M, params.d)
     F = continuation(X, f, Z, params)
     G = continuation(X, g, Z, params)
     C = payoff_batch(payoff, X)

@@ -1,8 +1,9 @@
 """Correlated multi-asset GBM: one-step transitions and stage sampling.
 
 RNG discipline: every consumer derives an independent Philox substream from
-(root seed, purpose, stage, index) via ``substream``, so parallel generation
-is reproducible regardless of execution order.
+(root seed, purpose) or (root seed, purpose, stage) via ``substream``, and
+draws from it before any parallel work, so results do not depend on the
+order in which threads run.
 """
 
 import math

@@ -11,7 +11,7 @@ from scipy.stats import spearmanr
 
 from . import bellman, oracles
 from .config import config_hash
-from .dynamics import EVAL, LOWER, OUTER, REP, sample_mu_t, substream
+from .dynamics import EVAL, INNER, LOWER, OUTER, REP, sample_mu_t, substream
 from .payoffs import GEO_BASKET_PUT, payoff_batch
 
 ORACLE_TREE_STEPS_PER_DATE = 1000
@@ -140,25 +140,24 @@ def convergence_study(cfg, n_grid, n_jobs=1):
 
 
 def mc_error_diagnostic(cfg):
-    """Standard error of stage T-1's M-sample continuation means, on the run's own draws.
+    """Standard error of stage T-1's continuation means, on the run's own draws.
 
     X and the inner shocks are those ``backward_pass(cfg)`` draws at t = T-1,
     so the row means of S below are its continuation values. The draws come
-    in p = M // 2 antithetic pairs, columns j and H + j with H = ceil(M/2), so
-    the i.i.d. units are the pair means P_ij; an odd M's unpaired column is
-    left out. Returns sqrt(mean_i s_i^2 / p), s_i^2 the sample variance of
-    row i of P; at another sample size M' it scales by sqrt(M / M').
+    in h antithetic pairs, columns j and h + j, so the i.i.d. units are the
+    pair means P_ij. Returns sqrt(mean_i s_i^2 / h), s_i^2 the sample variance
+    of row i of P; at another sample size M' it scales by sqrt(2h / M').
     """
     t = cfg.steps - 1
     params, stage = cfg.params, cfg.stages[t]
-    if stage.M < 4:
-        raise ValueError(f"need M >= 4 for a variance over two antithetic pairs, got M={stage.M}")
+    if stage.M < 3:
+        raise ValueError(f"need M >= 3 for a variance over two antithetic pairs, got M={stage.M}")
     X = sample_mu_t(params, t, stage.n, substream(cfg.seed, OUTER, t))
-    Z = bellman._inner_normals(cfg.seed, t, range(stage.n), stage.M, params.d)
+    Z = bellman.pair_shocks(substream(cfg.seed, INNER, t), stage.n, stage.M, params.d)
     S = bellman.continuation(X, lambda Xb: payoff_batch(cfg.payoff, Xb), Z, params)
-    p, H = stage.M // 2, (stage.M + 1) // 2
-    P = 0.5 * (S[:, :p] + S[:, H:])
-    return float(np.sqrt(np.mean(P.var(axis=1, ddof=1)) / p))
+    h = Z.shape[1]
+    P = (S[:, :h] + S[:, h:]) / 2
+    return float(np.sqrt(np.mean(P.var(axis=1, ddof=1)) / h))
 
 
 _CSV_COLUMNS = ("d", "payoff", "price", "ci_low", "ci_high", "oracle",

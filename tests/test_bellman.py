@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from krrdp.bellman import (
     price_at_origin,
     save_stack,
 )
-from krrdp.config import build_run_config
+from krrdp.config import build_run_config, load_config
 from krrdp.dynamics import INNER, OUTER, GbmParams, gbm_step, sample_mu_t, substream
 from krrdp.kernels import KernelSpec
 from krrdp.payoffs import PayoffSpec, payoff_batch
@@ -66,11 +67,12 @@ def test_continuation_value_matches_manual_mc():
     params = make_params()
     payoff = PayoffSpec(kind="geo_basket_put", strike=100.0)
     X = np.array([[100.0, 100.0], [95.0, 102.0], [120.0, 80.0]])
-    Z = substream(3, 0).standard_normal((3, 64, 2))
+    Z = substream(3, 0).standard_normal((3, 32, 2))
     S = continuation(X, lambda Xb: payoff_batch(payoff, Xb), Z, params)
     assert S.shape == (3, 64)
     for i in range(3):
-        manual = math.exp(-0.05 / 9.0) * payoff_batch(payoff, gbm_step(X[i], params, Z[i]))
+        z = np.concatenate([Z[i], -Z[i]])
+        manual = math.exp(-0.05 / 9.0) * payoff_batch(payoff, gbm_step(X[i], params, z))
         np.testing.assert_allclose(S[i], manual, rtol=1e-12, atol=1e-12)
 
 
@@ -81,24 +83,37 @@ def test_stage_targets_equal_max_of_exercise_and_continuation():
     next_fn = stack.stage_fn(t + 1)
     X, y = generate_stage_data(t, run.stages[t], next_fn, params, payoff, run.seed)
     np.testing.assert_array_equal(X, sample_mu_t(params, t, 40, substream(run.seed, OUTER, t)))
+    half = substream(run.seed, INNER, t).standard_normal((40, M // 2, 2))
     for i in (0, 17, 39):
-        half = substream(run.seed, INNER, t, i).standard_normal((M // 2, 2))
-        z = np.concatenate([half, -half])
+        z = np.concatenate([half[i], -half[i]])
         cont = math.exp(-0.05 / 3.0) * next_fn(gbm_step(X[i], params, z)).mean()
         exercise = payoff_batch(payoff, X[i:i + 1])[0]
         assert y[i] == pytest.approx(max(exercise, cont), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("M", [8, 7])
-def test_inner_normals_are_antithetic_pairs_from_each_points_substream(M):
-    seed, t, idx, d = 5, 2, [3, 0, 11], 3
-    H = (M + 1) // 2
-    Z = bellman._inner_normals(seed, t, idx, M, d)
-    assert Z.shape == (3, M, d)
-    for j, i in enumerate(idx):
-        np.testing.assert_array_equal(Z[j, :H],
-                                      substream(seed, INNER, t, i).standard_normal((H, d)))
-    np.testing.assert_array_equal(Z[:, H:], -Z[:, :M - H])
+def test_pair_shocks_draw_ceil_half_m_normals_from_the_stream(M):
+    # one shock of each pair, 4 per average at M = 8 and at M = 7
+    Z = bellman.pair_shocks(substream(5, INNER, 2), 3, M, 3)
+    assert Z.shape == (3, 4, 3)
+    np.testing.assert_array_equal(Z, substream(5, INNER, 2).standard_normal((3, 4, 3)))
+
+
+def test_odd_m_rounds_up_to_one_more_draw(monkeypatch):
+    # stage.M = 7 averages 4 pairs: every continuation matrix has 8 columns
+    run = small_run(**{"stage.M": "7"})
+    shapes = []
+
+    def recording(X, next_fn, Z, params):
+        S = continuation(X, next_fn, Z, params)
+        shapes.append(S.shape)
+        return S
+
+    monkeypatch.setattr(bellman, "continuation", recording)
+    generate_stage_data(2, run.stages[2], lambda Xb: payoff_batch(run.payoff, Xb),
+                        run.params, run.payoff, run.seed)
+    assert {cols for _, cols in shapes} == {8}
+    assert sum(rows for rows, _ in shapes) == 40
 
 
 def test_antithetic_continuation_is_exact_on_an_odd_integrand():
@@ -106,7 +121,7 @@ def test_antithetic_continuation_is_exact_on_an_odd_integrand():
     # of sum_k log x'_k is exact.
     params = make_params(d=3)
     X = sample_mu_t(params, 4, 25, substream(9, OUTER, 4))
-    Z = bellman._inner_normals(9, 4, range(25), 16, 3)
+    Z = bellman.pair_shocks(substream(9, INNER, 4), 25, 16, 3)
     cont = continuation(X, lambda Xb: np.log(Xb).sum(axis=1), Z, params).mean(axis=1)
     drift = (params.r - 0.5 * params.sigma ** 2) * params.dt
     exact = math.exp(-params.r * params.dt) * (np.log(X) + drift).sum(axis=1)
@@ -215,6 +230,17 @@ def test_price_at_origin_dominates_immediate_exercise_and_is_deterministic():
     assert 0.0 < p1 < 100.0
 
 
+def test_price_at_origin_averages_antithetic_pairs():
+    # sum_k log x'_k is linear in z, so ten draws in five pairs give its mean exactly
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "quick.cfg")
+    stack = backward_pass(cfg)
+    stack.stage_fn = lambda t: lambda X: np.log(X).sum(1)
+    params = stack.params
+    drift = (params.r - 0.5 * params.sigma ** 2) * params.dt
+    exact = math.exp(-params.r * params.dt) * (np.log(params.x0) + drift).sum()
+    assert price_at_origin(stack, 10, substream(1, 2)) == pytest.approx(exact, rel=1e-12)
+
+
 def test_nystrom_stage_fit_uses_fewer_centers(monkeypatch):
     # n = 40 is above the threshold, so each stage fits Nystrom with 15 centres
     monkeypatch.setattr(bellman, "NYSTROM_AUTO_THRESHOLD", 15)
@@ -245,7 +271,7 @@ def _all_paths_lower_bound(stack, paths, rng):
         if alive.size == 0:
             break
         C = payoff_batch(payoff, x)
-        z = rng.standard_normal((x.shape[0], bellman.LOWER_BOUND_INNER_M, params.d))
+        z = rng.standard_normal((x.shape[0], bellman.LOWER_BOUND_INNER_M // 2, params.d))
         cont = continuation(x, stack.stage_fn(t + 1), z, params).mean(axis=1)
         stop = (C > 0) & (C >= cont)
         value[alive[stop]] = C[stop] * math.exp(-params.r * t * params.dt)
