@@ -2,16 +2,20 @@
 
 Stage models approximate the value functions V_t for t = 1..T-1 (V_T is the
 known terminal payoff; V_0 is needed only at x0, where ``price_at_origin``
-estimates it). Every continuation average steps on ``pair_shocks``' antithetic
-pairs. A stage draws its training states and its inner shocks from one
-counter-based substream each, keyed by (seed, purpose, stage), before the
-target blocks start, so the targets do not depend on the thread count.
+estimates it). Beside each one, a continuation model C_t is fitted to the
+stage's continuation means on the same factor, with its leave-one-out RMS s_t;
+``policy_lower_bound`` exercises by C_t and nests a Monte Carlo continuation
+only where the payoff lies within s_t of it. Every continuation average steps
+on ``pair_shocks``' antithetic pairs. A stage draws its training states and
+its inner shocks from one counter-based substream each, keyed by (seed,
+purpose, stage), before the target blocks start, so the targets do not depend
+on the thread count.
 """
 
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,9 +33,10 @@ NYSTROM_AUTO_THRESHOLD = 2000
 # --jobs.
 TARGET_BLOCKS = 8
 
-STACK_FORMAT_VERSION = 4
+STACK_FORMAT_VERSION = 5
 
-# Inner MC draws per path behind policy_lower_bound's exercise rule: 32 pairs.
+# Inner MC draws (32 pairs) of policy_lower_bound's nested continuation, made
+# only where the payoff lies within s_t of C_t, and once at x0 at t = 0.
 LOWER_BOUND_INNER_M = 64
 
 
@@ -51,12 +56,23 @@ class StageConfig:
 
 @dataclass
 class ValueFunctionStack:
-    """Stage models V_1..V_{T-1} and the terminal payoff V_T; t = 0 has no model."""
+    """Stage models V_1..V_{T-1} and the terminal payoff V_T; t = 0 has no model.
+
+    ``continuations[t]`` is the clipped continuation model C_t, fitted on V_t's
+    centres and factor, whose ``loo_rms`` is s_t; it is None at t = 0 and at a
+    stage whose targets are constant.
+    """
 
     payoff: PayoffSpec
     models: list  # KrrModel per stage t = 1..T-1; None at t = 0
+    continuations: list  # KrrModel or None per stage t = 0..T-1
     params: GbmParams
     horizon: int
+
+    def band(self, t):
+        """s_t, the half-width around C_t where the exercise rule nests; inf without C_t."""
+        model = self.continuations[t]
+        return math.inf if model is None else model.loo_rms
 
     def stage_fn(self, t):
         """Batch evaluator of the stage-t value approximant (payoff at t=T), 1 <= t <= T."""
@@ -91,32 +107,46 @@ def continuation(X, next_fn, Z, params):
     return math.exp(-params.r * params.dt) * next_fn(xn.reshape(-1, d)).reshape(n, 2 * h)
 
 
-def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1):
-    """Supervised pairs (X, y) at stage t: y_i = max(exercise, MC continuation)."""
+def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1, cont=None):
+    """Supervised pairs (X, y) at stage t: y_i = max(exercise, MC continuation).
+
+    The continuation means are written into ``cont`` when it is given, an
+    (n,) buffer.
+    """
     X = sample_mu_t(params, t, cfg.n, substream(seed, OUTER, t))
     Z = pair_shocks(substream(seed, INNER, t), cfg.n, cfg.M, params.d)
+    if cont is None:
+        cont = np.empty(cfg.n)
 
-    def target(Xb, Zb):
-        cont = continuation(Xb, next_fn, Zb, params).mean(axis=1)
-        return np.maximum(payoff_batch(payoff, Xb), cont)
+    def target(Xb, Zb, cb):
+        cb[:] = continuation(Xb, next_fn, Zb, params).mean(axis=1)
+        return np.maximum(payoff_batch(payoff, Xb), cb)
 
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
         blocks = pool.map(target, np.array_split(X, TARGET_BLOCKS),
-                          np.array_split(Z, TARGET_BLOCKS))
+                          np.array_split(Z, TARGET_BLOCKS), np.array_split(cont, TARGET_BLOCKS))
         return X, np.concatenate(list(blocks))
 
 
-def _fit_stage(X, y, cfg, seed, t):
-    """Clipped KRR fit at B = max_i |y_i|; Nystrom when n > NYSTROM_AUTO_THRESHOLD."""
+def _fit_stage(X, y, cont, cfg, seed, t):
+    """Clipped KRR fits of the targets y and the continuation means on one factor.
+
+    Returns V_t, clipped at B = max_i |y_i|, and C_t, clipped at max_i |cont_i|
+    and carrying s_t as its ``loo_rms``; C_t is None when y is constant.
+    Nystrom when n > NYSTROM_AUTO_THRESHOLD.
+    """
     clip = float(np.max(np.abs(y)))
     if np.ptp(y) == 0.0:
-        return kernels.constant_model(y[0], cfg.kernel, cfg.lam, clip_bound=max(clip, 1e-300))
+        return kernels.constant_model(y[0], cfg.kernel, cfg.lam,
+                                      clip_bound=max(clip, 1e-300)), None
+    Y = np.column_stack((y, cont))
     if cfg.n > NYSTROM_AUTO_THRESHOLD:
-        model = kernels.nystrom_fit(X, y, cfg.lam, cfg.kernel, NYSTROM_AUTO_THRESHOLD,
-                                    substream(seed, NYSTROM, t))
+        value, cmodel = kernels.nystrom_fit(X, Y, cfg.lam, cfg.kernel, NYSTROM_AUTO_THRESHOLD,
+                                            substream(seed, NYSTROM, t))
     else:
-        model = kernels.krr_fit(X, y, cfg.lam, cfg.kernel)
-    return kernels.with_clip(model, clip)
+        value, cmodel = kernels.krr_fit(X, Y, cfg.lam, cfg.kernel)
+    return (kernels.with_clip(value, clip),
+            kernels.with_clip(cmodel, max(float(np.max(np.abs(cont))), 1e-300)))
 
 
 def backward_pass(run, n_jobs=1):
@@ -126,16 +156,17 @@ def backward_pass(run, n_jobs=1):
     the time-0 price, is ``price_at_origin``'s fresh evaluation at x0.
     """
     params, T, seed = run.params, run.steps, run.seed
-    stack = ValueFunctionStack(payoff=run.payoff, models=[None] * T, params=params, horizon=T)
+    stack = ValueFunctionStack(payoff=run.payoff, models=[None] * T, continuations=[None] * T,
+                               params=params, horizon=T)
     for t in range(T - 1, 0, -1):
         cfg = run.stages[t]
+        cont = np.empty(cfg.n)
         try:
             X, y = generate_stage_data(t, cfg, stack.stage_fn(t + 1), params, run.payoff,
-                                       seed, n_jobs)
-            model = _fit_stage(X, y, cfg, seed, t)
+                                       seed, n_jobs, cont=cont)
+            stack.models[t], stack.continuations[t] = _fit_stage(X, y, cont, cfg, seed, t)
         except kernels.FitError as exc:
             raise kernels.FitError(f"stage {t}: {exc}") from exc
-        stack.models[t] = model
     return stack
 
 
@@ -149,19 +180,23 @@ def price_at_origin(stack, eval_M, rng):
 
 
 def policy_lower_bound(stack, paths, rng):
-    """Average discounted payoff of the stack-induced stopping rule.
+    """Average discounted payoff of the stack-induced stopping rule, and its stderr.
 
     Any feasible rule prices at or below the optimum in expectation, so this
-    is a downward-biased cross-check. Exercise at the first t where the
-    immediate payoff is positive and at least the (small inner MC) estimated
-    continuation; the continuation is evaluated on in-the-money paths only,
-    while the shocks are drawn for every alive path so the stream of draws
-    does not depend on how many are in the money.
+    is a downward-biased cross-check. A path exercises at the first t where
+    its payoff C is positive and at least the continuation estimate: the
+    regression rule C >= C_t(x) (Longstaff & Schwartz, RFS 2001), refined by a
+    nested LOWER_BOUND_INNER_M-draw continuation through the stage-(t+1) model
+    where |C - C_t(x)| < s_t, C_t's leave-one-out RMS, and at t = 0, which has
+    no C_0 (Broadie & Cao, Quant. Finance 2008). Every path starts at x0, so
+    one nested estimate there decides t = 0 for all. The outer increments are
+    drawn first, as one (T, paths, d) block, then the inner shocks of each
+    nested estimate, so a path's increments do not depend on the others.
     """
     if paths < 1:
         raise ValueError("paths must be at least 1")
     params, payoff, T = stack.params, stack.payoff, stack.horizon
-    d, dt, r = params.d, params.dt, params.r
+    steps = rng.standard_normal((T, paths, params.d))
     x = np.tile(params.x0, (paths, 1))
     alive = np.arange(paths)
     value = np.zeros(paths)
@@ -169,20 +204,36 @@ def policy_lower_bound(stack, paths, rng):
         if alive.size == 0:
             break
         C = payoff_batch(payoff, x)
-        z = pair_shocks(rng, x.shape[0], LOWER_BOUND_INNER_M, d)
         stop = C > 0
-        cont = continuation(x[stop], stack.stage_fn(t + 1), z[stop], params).mean(axis=1)
-        stop[stop] = C[stop] >= cont
-        value[alive[stop]] = C[stop] * math.exp(-r * t * dt)
+        if t == 0:  # every path sits at x0, so one decision there serves all
+            stop[:] = stop[0] and _exercise(stack, 0, x[:1], C[:1], rng)[0]
+        else:
+            stop[stop] = _exercise(stack, t, x[stop], C[stop], rng)
+        value[alive[stop]] = C[stop] * math.exp(-params.r * t * params.dt)
         keep = ~stop
         alive = alive[keep]
         x = x[keep]
         if alive.size:
-            x = gbm_step(x, params, rng.standard_normal((alive.size, d)))
+            x = gbm_step(x, params, steps[t, alive])
     if alive.size:
-        value[alive] = payoff_batch(payoff, x) * math.exp(-r * T * dt)
+        value[alive] = payoff_batch(payoff, x) * math.exp(-params.r * T * params.dt)
     stderr = float(value.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     return float(value.mean()), stderr
+
+
+def _exercise(stack, t, x, C, rng):
+    """Whether the states x (rows), with positive payoffs C, exercise at date t."""
+    s = stack.band(t)
+    if s == math.inf:
+        stop, nest = np.zeros(len(C), dtype=bool), np.ones(len(C), dtype=bool)
+    else:
+        gap = C - kernels.clipped_predict_batch(stack.continuations[t], x)
+        stop, nest = gap >= 0, np.abs(gap) < s
+    if nest.any():
+        Z = pair_shocks(rng, int(nest.sum()), LOWER_BOUND_INNER_M, stack.params.d)
+        cont = continuation(x[nest], stack.stage_fn(t + 1), Z, stack.params).mean(axis=1)
+        stop[nest] = C[nest] >= cont
+    return stop
 
 
 def contraction_check(f, g, t, n_eval, M, params, payoff, rng):
@@ -207,8 +258,13 @@ def contraction_check(f, g, t, n_eval, M, params, payoff, rng):
 def save_stack(stack, path):
     """Versioned npz serialization of stages 1..T-1; predictions round-trip bit-exactly.
 
-    Writes exactly ``path``: ``np.savez`` given a file name would append ``.npz``.
+    Each stage holds V_t and C_t, which share V_t's centres: the scalars in the
+    JSON header, the arrays beside it. Writes exactly ``path``: ``np.savez``
+    given a file name would append ``.npz``.
     """
+    def scalars(m):
+        return {"clip_bound": m.clip_bound, "loo_rms": m.loo_rms}
+
     header = {
         "version": STACK_FORMAT_VERSION,
         "d": stack.params.d,
@@ -217,9 +273,9 @@ def save_stack(stack, path):
         "r": stack.params.r,
         "payoff_kind": stack.payoff.kind,
         "strike": stack.payoff.strike,
-        "stages": [{"lengthscale": m.kernel.lengthscale, "lam": m.lam,
-                    "clip_bound": m.clip_bound, "constant": m.constant}
-                   for m in stack.models[1:]],
+        "stages": [{"lengthscale": m.kernel.lengthscale, "lam": m.lam, "constant": m.constant,
+                    **scalars(m), "continuation": None if c is None else scalars(c)}
+                   for m, c in zip(stack.models[1:], stack.continuations[1:])],
     }
     arrays = {
         "header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
@@ -227,9 +283,11 @@ def save_stack(stack, path):
         "rho": stack.params.rho,
         "x0": stack.params.x0,
     }
-    for t, m in enumerate(stack.models[1:], start=1):
+    for t, (m, c) in enumerate(zip(stack.models[1:], stack.continuations[1:]), start=1):
         arrays[f"centers_{t}"] = m.centers
         arrays[f"coef_{t}"] = m.coefficients
+        if c is not None:
+            arrays[f"cont_coef_{t}"] = c.coefficients
     with open(path, "wb") as f:
         np.savez(f, **arrays)
 
@@ -242,14 +300,20 @@ def load_stack(path):
     params = GbmParams(d=header["d"], r=header["r"], sigma=data["sigma"],
                        rho=data["rho"], x0=data["x0"], dt=header["dt"])
     payoff = PayoffSpec(kind=header["payoff_kind"], strike=header["strike"])
-    models = [None]
+    models, continuations = [None], [None]
     for t, stage in enumerate(header["stages"], start=1):
-        models.append(KrrModel(
+        model = KrrModel(
             centers=data[f"centers_{t}"],
             coefficients=data[f"coef_{t}"],
             kernel=KernelSpec(lengthscale=stage["lengthscale"]),
             lam=stage["lam"],
             clip_bound=stage["clip_bound"],
             constant=stage["constant"],
-        ))
-    return ValueFunctionStack(payoff=payoff, models=models, params=params, horizon=header["T"])
+            loo_rms=stage["loo_rms"],
+        )
+        cont = stage["continuation"]
+        models.append(model)
+        continuations.append(None if cont is None else
+                             replace(model, coefficients=data[f"cont_coef_{t}"], **cont))
+    return ValueFunctionStack(payoff=payoff, models=models, continuations=continuations,
+                              params=params, horizon=header["T"])

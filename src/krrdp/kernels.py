@@ -43,6 +43,7 @@ class KrrModel:
     lam: float
     clip_bound: float | None = None
     constant: float | None = None
+    loo_rms: float | None = None  # closed-form leave-one-out RMS error of the fit
 
     def __post_init__(self):
         if self.constant is None and len(self.centers) != len(self.coefficients):
@@ -116,44 +117,81 @@ def gram_matrix(X, Y, spec):
 
 
 def _solve_spd(A, b, jitter_scale):
-    """Cholesky solve with a single jitter retry, logged as a warning, then FitError."""
+    """Cholesky solve with a single jitter retry, logged as a warning, then FitError.
+
+    ``b`` may hold several right-hand sides as columns. Returns the solution and
+    the factor that produced it, of A or of A + jitter I: its lower triangle is L.
+    """
     try:
         c, low = scipy.linalg.cho_factor(A, lower=True)
-        return scipy.linalg.cho_solve((c, low), b)
+        return scipy.linalg.cho_solve((c, low), b), c
     except np.linalg.LinAlgError:
         logger.warning("Cholesky factorization failed; retrying with jitter %.3g added "
                        "to the diagonal", jitter_scale)
     A_j = A + jitter_scale * np.eye(A.shape[0])
     try:
         c, low = scipy.linalg.cho_factor(A_j, lower=True)
-        return scipy.linalg.cho_solve((c, low), b)
+        return scipy.linalg.cho_solve((c, low), b), c
     except np.linalg.LinAlgError as exc:
         raise FitError(
             "singular regression system even after jitter; raise lambda"
         ) from exc
 
 
-def krr_fit(X, y, lam, spec):
-    """Solve (G + lambda*n*I) alpha = y; the n-scaling matches a (1/n) empirical risk."""
+def _targets(X, y):
+    """X as an (n, d) matrix and y as (n,) or (n, k) floats, checked to match."""
     X = _as_matrix(X)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n = X.shape[0]
-    if n < 1 or y.shape[0] != n:
+    y = np.asarray(y, dtype=np.float64)
+    if X.shape[0] < 1 or y.ndim not in (1, 2) or y.shape[0] != X.shape[0]:
         raise ValueError("X and y must be nonempty and of equal length")
+    return X, y
+
+
+def _fitted(centers, alpha, loo_residuals, spec, lam, y):
+    """One model per column of y, each with its leave-one-out RMS (inf if not finite).
+
+    ``alpha`` and ``loo_residuals`` are (m, k) and (n, k). A 1-d ``y`` gives
+    the model itself, an (n, k) ``y`` a tuple of k models.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rms = np.sqrt(np.mean(loo_residuals ** 2, axis=0))
+    models = tuple(
+        KrrModel(centers=centers, coefficients=np.ascontiguousarray(alpha[:, j]), kernel=spec,
+                 lam=float(lam), loo_rms=float(rms[j]) if np.isfinite(rms[j]) else np.inf)
+        for j in range(alpha.shape[1]))
+    return models[0] if y.ndim == 1 else models
+
+
+def krr_fit(X, y, lam, spec):
+    """Solve (G + lambda*n*I) alpha = y; the n-scaling matches a (1/n) empirical risk.
+
+    ``y`` is (n,) or (n, k): k target columns share one Gram matrix and one
+    factor, and give a tuple of k models. Each model's ``loo_rms`` comes from
+    that factor: the leave-one-out residual at x_i is alpha_i / [A^-1]_ii for
+    the system A actually solved (Rifkin & Lippert, "Notes on regularized least
+    squares", 2007), with A^-1 from L by ``dpotri``.
+    """
+    X, y = _targets(X, y)
+    n = X.shape[0]
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     A = gram_matrix(X, X, spec) + (lam * n) * np.eye(n)
-    alpha = _solve_spd(A, y, 1e-10)
-    return KrrModel(centers=X, coefficients=alpha, kernel=spec, lam=float(lam))
+    alpha, c = _solve_spd(A, y, 1e-10)
+    alpha = alpha.reshape(n, -1)
+    inv_diag = np.diag(scipy.linalg.lapack.dpotri(c, lower=1, overwrite_c=1)[0])
+    return _fitted(X, alpha, alpha / inv_diag[:, None], spec, lam, y)
 
 
 def nystrom_fit(X, y, lam, spec, m, rng):
     """Nystrom KRR with m uniformly subsampled centers.
 
-    Solves the normal equations (Knm' Knm + lambda*n*Kmm) alpha = Knm' y.
+    Solves the normal equations (Knm' Knm + lambda*n*Kmm) alpha = Knm' y; like
+    ``krr_fit``, ``y`` may hold k target columns. Each model's ``loo_rms`` is
+    that of ridge regression on the fixed features k(x, c_j): the residual at
+    x_i over 1 - H_ii, with H_ii = ||L^-1 k_i||^2 for row k_i of Knm and the
+    factor L of the system actually solved.
     """
-    X = _as_matrix(X)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    X, y = _targets(X, y)
     n = X.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"center count m={m} must satisfy 1 <= m <= n={n}")
@@ -163,9 +201,15 @@ def nystrom_fit(X, y, lam, spec, m, rng):
     Knm[idx, np.arange(m)] = 1.0  # k(c, c) = 1, which the GEMM loses to cancellation
     Kmm = Knm[idx]
     A = Knm.T @ Knm + (lam * n) * Kmm
-    b = Knm.T @ y
-    alpha = _solve_spd(A, b, 1e-10 * max(np.trace(A) / m, 1.0))
-    return KrrModel(centers=centers, coefficients=alpha, kernel=spec, lam=float(lam))
+    alpha, c = _solve_spd(A, Knm.T @ y, 1e-10 * max(np.trace(A) / m, 1.0))
+    alpha = alpha.reshape(m, -1)
+    residuals = y.reshape(n, -1) - Knm @ alpha
+    # Knm is not needed again: its transpose is overwritten by L^-1 Knm'.
+    V = scipy.linalg.solve_triangular(c, Knm.T, lower=True, overwrite_b=True)
+    leverage = np.einsum("ij,ij->j", V, V)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loo = residuals / (1.0 - leverage)[:, None]
+    return _fitted(centers, alpha, loo, spec, lam, y)
 
 
 def constant_model(value, spec, lam=0.0, clip_bound=None):

@@ -1,8 +1,11 @@
+import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from krrdp import bellman, kernels
 from krrdp.bellman import (
@@ -261,49 +264,173 @@ def test_policy_lower_bound_basic_properties():
         policy_lower_bound(stack, 0, substream(run.seed, 3))
 
 
-def _all_paths_lower_bound(stack, paths, rng):
-    # Reference rule: the continuation on every alive path, in the money or not.
+def _nested_lower_bound(stack, paths, rng):
+    # Reference rule on policy_lower_bound's draws: the nested continuation on
+    # every in-the-money path, once at x0 at t = 0.
     params, payoff, T = stack.params, stack.payoff, stack.horizon
+    steps = rng.standard_normal((T, paths, params.d))
     x = np.tile(params.x0, (paths, 1))
     alive = np.arange(paths)
     value = np.zeros(paths)
     for t in range(T):
-        if alive.size == 0:
-            break
         C = payoff_batch(payoff, x)
-        z = rng.standard_normal((x.shape[0], bellman.LOWER_BOUND_INNER_M // 2, params.d))
-        cont = continuation(x, stack.stage_fn(t + 1), z, params).mean(axis=1)
-        stop = (C > 0) & (C >= cont)
+        itm = np.flatnonzero(C > 0)[:1 if t == 0 else None]
+        stop = np.zeros(len(C), dtype=bool)
+        if itm.size:
+            z = rng.standard_normal((itm.size, bellman.LOWER_BOUND_INNER_M // 2, params.d))
+            cont = continuation(x[itm], stack.stage_fn(t + 1), z, params).mean(axis=1)
+            stop[itm] = C[itm] >= cont
+        if t == 0:
+            stop[:] = stop[0]
         value[alive[stop]] = C[stop] * math.exp(-params.r * t * params.dt)
         alive, x = alive[~stop], x[~stop]
-        if alive.size:
-            x = gbm_step(x, params, rng.standard_normal((alive.size, params.d)))
+        if alive.size == 0:
+            break
+        x = gbm_step(x, params, steps[t, alive])
     if alive.size:
         value[alive] = payoff_batch(payoff, x) * math.exp(-params.r * T * params.dt)
     return float(value.mean()), float(value.std(ddof=1) / math.sqrt(paths))
 
 
+def _with_bands(stack, s):
+    # the stack with every s_t set to s
+    stack.continuations = [None if c is None else replace(c, loo_rms=s)
+                           for c in stack.continuations]
+    return stack
+
+
+def _recording_stage_fns(stack, monkeypatch):
+    # (t, states) for each evaluation of a stage function the bound makes
+    calls, stage_fn = [], stack.stage_fn
+
+    def recording(t):
+        fn = stage_fn(t)
+        return lambda X: calls.append((t, len(X))) or fn(X)
+
+    monkeypatch.setattr(stack, "stage_fn", recording)
+    return calls
+
+
 @pytest.mark.parametrize("payoff", ["geo_basket_put", "max_call"])
-def test_policy_lower_bound_equals_all_paths_rule(payoff):
+def test_policy_lower_bound_with_infinite_bands_equals_nested_rule(payoff):
     run = small_run(payoff, **{"contract.steps": "4"})
-    stack = backward_pass(run)
+    stack = _with_bands(backward_pass(run), math.inf)
     assert (policy_lower_bound(stack, 400, substream(run.seed, 3))
-            == _all_paths_lower_bound(stack, 400, substream(run.seed, 3)))
+            == _nested_lower_bound(stack, 400, substream(run.seed, 3)))
 
 
-def test_policy_lower_bound_skips_continuation_out_of_the_money(monkeypatch):
-    # x0 = strike: nothing is in the money at t = 0, so no next state is evaluated
-    states = []
+def test_policy_lower_bound_with_zero_bands_nests_at_t0_only(monkeypatch):
+    # x0 is in the money (strike 101) and not exercised there; from t = 1 on,
+    # every decision is the regression rule
+    run = small_run(**{"contract.strike": "101", "contract.steps": "4"})
+    stack = _with_bands(backward_pass(run), 0.0)
+    calls = _recording_stage_fns(stack, monkeypatch)
+    _, se = policy_lower_bound(stack, 300, substream(run.seed, 3))
+    assert calls == [(1, bellman.LOWER_BOUND_INNER_M)] and se > 0.0
 
-    def counting(X, next_fn, Z, params):
-        states.append(Z.shape[0] * Z.shape[1])
-        return continuation(X, next_fn, Z, params)
 
-    run = small_run()
+def test_policy_lower_bound_evaluates_no_next_state_at_t0_at_the_money(monkeypatch):
+    # x0 = strike: nothing is in the money at t = 0, so stage 1 is never evaluated
+    run = small_run(**{"contract.steps": "4"})
     stack = backward_pass(run)
-    monkeypatch.setattr(bellman, "continuation", counting)
+    calls = _recording_stage_fns(stack, monkeypatch)
     policy_lower_bound(stack, 300, substream(run.seed, 3))
-    assert len(states) == run.steps and states[0] == 0
+    assert calls and all(t >= 2 for t, _ in calls)
+
+
+def test_policy_lower_bound_decides_t0_once_in_the_money(monkeypatch):
+    # strike 110: x0 is in the money, and one nested estimate at x0 decides for every path
+    run = small_run(**{"contract.strike": "110"})
+    stack = backward_pass(run)
+    calls = _recording_stage_fns(stack, monkeypatch)
+    policy_lower_bound(stack, 300, substream(run.seed, 3))
+    assert [call for call in calls if call[0] == 1] == [(1, bellman.LOWER_BOUND_INNER_M)]
+
+
+def _krr_loo_rms(G, y, penalty):
+    # refit on the other n - 1 points with the same penalty, predict the left-out one
+    n = len(y)
+    res = []
+    for i in range(n):
+        o = np.arange(n) != i
+        a = np.linalg.solve(G[np.ix_(o, o)] + penalty * np.eye(n - 1), y[o])
+        res.append(y[i] - G[i, o] @ a)
+    return math.sqrt(np.mean(np.square(res)))
+
+
+def _nystrom_loo_rms(K, P, y):
+    # the same for ridge regression on the features K with penalty matrix P
+    n = len(y)
+    res = []
+    for i in range(n):
+        o = np.arange(n) != i
+        a = np.linalg.solve(K[o].T @ K[o] + P, K[o].T @ y[o])
+        res.append(y[i] - K[i] @ a)
+    return math.sqrt(np.mean(np.square(res)))
+
+
+def _refit_bands(run, stack, jitter=0.0):
+    # s_t by brute-force refits of each stage's continuation means, on its centres
+    n, lam = run.stages[1].n, run.stages[1].lam
+    bands = []
+    for t in range(1, run.steps):
+        cont = np.empty(n)
+        X, _ = generate_stage_data(t, run.stages[t], stack.stage_fn(t + 1), run.params,
+                                   run.payoff, run.seed, cont=cont)
+        model = stack.continuations[t]
+        assert model.centers is stack.models[t].centers
+        K = kernels.gram_matrix(X, model.centers, model.kernel)
+        if len(model.centers) == n:
+            bands.append(_krr_loo_rms(K, cont, n * lam + jitter))
+        else:
+            K[np.all(X[:, None] == model.centers[None], axis=2)] = 1.0
+            Kmm = kernels.gram_matrix(model.centers, model.centers, model.kernel)
+            bands.append(_nystrom_loo_rms(K, n * lam * Kmm + jitter * np.eye(len(Kmm)), cont))
+    return bands
+
+
+# n = 25: an exact fit at the default threshold, Nystrom with 15 centres below it
+@pytest.mark.parametrize("threshold", [2000, 15])
+def test_continuation_band_is_the_leave_one_out_rms_of_refits(threshold, monkeypatch):
+    monkeypatch.setattr(bellman, "NYSTROM_AUTO_THRESHOLD", threshold)
+    run = small_run(**{"stage.n": "25", "stage.lambda": "1e-2"})
+    stack = backward_pass(run)
+    bands = [stack.band(t) for t in range(1, run.steps)]
+    assert bands == pytest.approx(_refit_bands(run, stack), rel=1e-8)
+
+
+@pytest.mark.parametrize("threshold", [2000, 15])
+def test_continuation_band_comes_from_the_jittered_factor(threshold, monkeypatch, caplog):
+    # Each stage's first factorization fails and the retry adds 0.5 to the diagonal:
+    # s_t is the leave-one-out RMS of that jittered system, from its one factor.
+    monkeypatch.setattr(bellman, "NYSTROM_AUTO_THRESHOLD", threshold)
+    run = small_run(**{"stage.n": "25", "stage.lambda": "1e-2"})
+    factorizations = []
+    cho_factor, solve = scipy.linalg.cho_factor, kernels._solve_spd
+
+    def failing_first(A, **kwargs):
+        factorizations.append(len(A))
+        if len(factorizations) % 2:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cho_factor(A, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", failing_first)
+    monkeypatch.setattr(kernels, "_solve_spd", lambda A, b, jitter: solve(A, b, 0.5))
+    stack = backward_pass(run)
+    assert len(factorizations) == 2 * (run.steps - 1)
+    assert sum("jitter 0.5" in r.getMessage() for r in caplog.records) == run.steps - 1
+    bands = [stack.band(t) for t in range(1, run.steps)]
+    assert bands == pytest.approx(_refit_bands(run, stack, jitter=0.5), rel=1e-8)
+    assert bands != pytest.approx(_refit_bands(run, stack), rel=1e-3)
+
+
+def test_constant_stage_gets_an_infinite_band():
+    # strike 1e6: the call pays nothing, every target is 0 and every stage constant
+    run = small_run("max_call", **{"contract.strike": "1e6"})
+    stack = backward_pass(run)
+    for t in range(1, run.steps):
+        assert stack.models[t].constant == 0.0 and stack.band(t) == math.inf
+    assert policy_lower_bound(stack, 50, substream(run.seed, 3)) == (0.0, 0.0)
 
 
 def test_contraction_check_holds_on_sample_triples():
@@ -318,8 +445,18 @@ def test_contraction_check_holds_on_sample_triples():
         assert lhs <= rhs + 1e-12
 
 
+def _set_version(path, version):
+    data = dict(np.load(path))
+    header = json.loads(bytes(data["header"]).decode())
+    header["version"] = version
+    data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    with open(path, "wb") as f:
+        np.savez(f, **data)
+
+
 def test_stack_serialization_round_trip(tmp_path):
-    run = small_run(payoff="max_call")
+    # the put exercises at some training points, so C_t differs from V_t
+    run = small_run()
     stack = backward_pass(run)
     path = tmp_path / "stack.npz"
     save_stack(stack, path)
@@ -328,19 +465,35 @@ def test_stack_serialization_round_trip(tmp_path):
     assert loaded.payoff == stack.payoff
     rng = substream(0, 1)
     X = rng.uniform(50.0, 200.0, size=(200, 2))
-    assert loaded.models[0] is None
+    assert loaded.models[0] is None and loaded.continuations[0] is None
     for t in range(1, stack.horizon + 1):
         np.testing.assert_array_equal(stack.stage_fn(t)(X), loaded.stage_fn(t)(X))
+    for t in range(1, stack.horizon):
+        cont, back = stack.continuations[t], loaded.continuations[t]
+        assert back.centers is loaded.models[t].centers
+        np.testing.assert_array_equal(cont.coefficients, back.coefficients)
+        assert (back.clip_bound, back.loo_rms) == (cont.clip_bound, cont.loo_rms)
+        assert cont.loo_rms != stack.models[t].loo_rms
+        assert loaded.band(t) == stack.band(t) < math.inf
+        np.testing.assert_array_equal(kernels.clipped_predict_batch(cont, X),
+                                      kernels.clipped_predict_batch(back, X))
+    assert (policy_lower_bound(loaded, 400, substream(run.seed, 3))
+            == policy_lower_bound(stack, 400, substream(run.seed, 3)))
+    _set_version(path, 4)
+    with pytest.raises(ValueError, match="version 4"):
+        load_stack(path)
 
 
 def test_stack_round_trip_keeps_a_constant_stage(tmp_path):
     stack = backward_pass(small_run())
     stack.models[1] = kernels.constant_model(3.25, KernelSpec(lengthscale=20.0), 1e-6,
                                              clip_bound=2.5)
+    stack.continuations[1] = None
     path = tmp_path / "stack.npz"
     save_stack(stack, path)
     loaded = load_stack(path)
     assert loaded.models[1].constant == 3.25 and loaded.models[1].clip_bound == 2.5
+    assert loaded.continuations[1] is None and loaded.band(1) == math.inf
     assert loaded.models[2].constant is None
     X = substream(0, 1).uniform(50.0, 200.0, size=(50, 2))
     for t in range(1, stack.horizon + 1):
@@ -372,12 +525,6 @@ def test_stack_version_check(tmp_path):
     stack = backward_pass(run)
     path = tmp_path / "stack.npz"
     save_stack(stack, path)
-    import json
-
-    data = dict(np.load(path))
-    header = json.loads(bytes(data["header"]).decode())
-    header["version"] = 99
-    data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(path, **data)
+    _set_version(path, 99)
     with pytest.raises(ValueError, match="version"):
         load_stack(path)
