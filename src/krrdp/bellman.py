@@ -33,7 +33,7 @@ NYSTROM_AUTO_THRESHOLD = 2000
 # --jobs.
 TARGET_BLOCKS = 8
 
-STACK_FORMAT_VERSION = 5
+STACK_FORMAT_VERSION = 6
 
 # Inner MC draws (32 pairs) of policy_lower_bound's nested continuation, made
 # only where the payoff lies within s_t of C_t, and once at x0 at t = 0.
@@ -59,20 +59,14 @@ class ValueFunctionStack:
     """Stage models V_1..V_{T-1} and the terminal payoff V_T; t = 0 has no model.
 
     ``continuations[t]`` is the clipped continuation model C_t, fitted on V_t's
-    centres and factor, whose ``loo_rms`` is s_t; it is None at t = 0 and at a
-    stage whose targets are constant.
+    centres and factor; its ``loo_rms`` is s_t.
     """
 
     payoff: PayoffSpec
     models: list  # KrrModel per stage t = 1..T-1; None at t = 0
-    continuations: list  # KrrModel or None per stage t = 0..T-1
+    continuations: list  # KrrModel per stage t = 1..T-1; None at t = 0
     params: GbmParams
     horizon: int
-
-    def band(self, t):
-        """s_t, the half-width around C_t where the exercise rule nests; inf without C_t."""
-        model = self.continuations[t]
-        return math.inf if model is None else model.loo_rms
 
     def stage_fn(self, t):
         """Batch evaluator of the stage-t value approximant (payoff at t=T), 1 <= t <= T."""
@@ -128,29 +122,8 @@ def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1, cont=No
         return X, np.concatenate(list(blocks))
 
 
-def _fit_stage(X, y, cont, cfg, seed, t):
-    """Clipped KRR fits of the targets y and the continuation means on one factor.
-
-    Returns V_t, clipped at B = max_i |y_i|, and C_t, clipped at max_i |cont_i|
-    and carrying s_t as its ``loo_rms``; C_t is None when y is constant.
-    Nystrom when n > NYSTROM_AUTO_THRESHOLD.
-    """
-    clip = float(np.max(np.abs(y)))
-    if np.ptp(y) == 0.0:
-        return kernels.constant_model(y[0], cfg.kernel, cfg.lam,
-                                      clip_bound=max(clip, 1e-300)), None
-    Y = np.column_stack((y, cont))
-    if cfg.n > NYSTROM_AUTO_THRESHOLD:
-        value, cmodel = kernels.nystrom_fit(X, Y, cfg.lam, cfg.kernel, NYSTROM_AUTO_THRESHOLD,
-                                            substream(seed, NYSTROM, t))
-    else:
-        value, cmodel = kernels.krr_fit(X, Y, cfg.lam, cfg.kernel)
-    return (kernels.with_clip(value, clip),
-            kernels.with_clip(cmodel, max(float(np.max(np.abs(cont))), 1e-300)))
-
-
 def backward_pass(run, n_jobs=1):
-    """Fit the stage value models for t = T-1 down to 1.
+    """Fit V_t and C_t for t = T-1 down to 1, one fit of the columns [y, cont] each.
 
     Stage 0 is the point mass at x0, so it has no regression: its one value,
     the time-0 price, is ``price_at_origin``'s fresh evaluation at x0.
@@ -164,7 +137,13 @@ def backward_pass(run, n_jobs=1):
         try:
             X, y = generate_stage_data(t, cfg, stack.stage_fn(t + 1), params, run.payoff,
                                        seed, n_jobs, cont=cont)
-            stack.models[t], stack.continuations[t] = _fit_stage(X, y, cont, cfg, seed, t)
+            Y = np.column_stack((y, cont))
+            if cfg.n > NYSTROM_AUTO_THRESHOLD:
+                fit = kernels.nystrom_fit(X, Y, cfg.lam, cfg.kernel, NYSTROM_AUTO_THRESHOLD,
+                                          substream(seed, NYSTROM, t))
+            else:
+                fit = kernels.krr_fit(X, Y, cfg.lam, cfg.kernel)
+            stack.models[t], stack.continuations[t] = fit
         except kernels.FitError as exc:
             raise kernels.FitError(f"stage {t}: {exc}") from exc
     return stack
@@ -206,7 +185,7 @@ def policy_lower_bound(stack, paths, rng):
         C = payoff_batch(payoff, x)
         stop = C > 0
         if t == 0:  # every path sits at x0, so one decision there serves all
-            stop[:] = stop[0] and _exercise(stack, 0, x[:1], C[:1], rng)[0]
+            stop[:] = stop[0] and C[0] >= _nested(stack, 0, x[:1], rng)[0]
         else:
             stop[stop] = _exercise(stack, t, x[stop], C[stop], rng)
         value[alive[stop]] = C[stop] * math.exp(-params.r * t * params.dt)
@@ -222,18 +201,19 @@ def policy_lower_bound(stack, paths, rng):
 
 
 def _exercise(stack, t, x, C, rng):
-    """Whether the states x (rows), with positive payoffs C, exercise at date t."""
-    s = stack.band(t)
-    if s == math.inf:
-        stop, nest = np.zeros(len(C), dtype=bool), np.ones(len(C), dtype=bool)
-    else:
-        gap = C - kernels.clipped_predict_batch(stack.continuations[t], x)
-        stop, nest = gap >= 0, np.abs(gap) < s
+    """Whether the states x (rows), with positive payoffs C, exercise at date t >= 1."""
+    model = stack.continuations[t]
+    gap = C - kernels.clipped_predict_batch(model, x)
+    stop, nest = gap >= 0, np.abs(gap) < model.loo_rms
     if nest.any():
-        Z = pair_shocks(rng, int(nest.sum()), LOWER_BOUND_INNER_M, stack.params.d)
-        cont = continuation(x[nest], stack.stage_fn(t + 1), Z, stack.params).mean(axis=1)
-        stop[nest] = C[nest] >= cont
+        stop[nest] = C[nest] >= _nested(stack, t, x[nest], rng)
     return stop
+
+
+def _nested(stack, t, x, rng):
+    """LOWER_BOUND_INNER_M-draw continuation values at date t of the states x (rows)."""
+    Z = pair_shocks(rng, len(x), LOWER_BOUND_INNER_M, stack.params.d)
+    return continuation(x, stack.stage_fn(t + 1), Z, stack.params).mean(axis=1)
 
 
 def contraction_check(f, g, t, n_eval, M, params, payoff, rng):
@@ -273,8 +253,8 @@ def save_stack(stack, path):
         "r": stack.params.r,
         "payoff_kind": stack.payoff.kind,
         "strike": stack.payoff.strike,
-        "stages": [{"lengthscale": m.kernel.lengthscale, "lam": m.lam, "constant": m.constant,
-                    **scalars(m), "continuation": None if c is None else scalars(c)}
+        "stages": [{"lengthscale": m.kernel.lengthscale, "lam": m.lam, **scalars(m),
+                    "continuation": scalars(c)}
                    for m, c in zip(stack.models[1:], stack.continuations[1:])],
     }
     arrays = {
@@ -286,8 +266,7 @@ def save_stack(stack, path):
     for t, (m, c) in enumerate(zip(stack.models[1:], stack.continuations[1:]), start=1):
         arrays[f"centers_{t}"] = m.centers
         arrays[f"coef_{t}"] = m.coefficients
-        if c is not None:
-            arrays[f"cont_coef_{t}"] = c.coefficients
+        arrays[f"cont_coef_{t}"] = c.coefficients
     with open(path, "wb") as f:
         np.savez(f, **arrays)
 
@@ -308,12 +287,10 @@ def load_stack(path):
             kernel=KernelSpec(lengthscale=stage["lengthscale"]),
             lam=stage["lam"],
             clip_bound=stage["clip_bound"],
-            constant=stage["constant"],
             loo_rms=stage["loo_rms"],
         )
-        cont = stage["continuation"]
         models.append(model)
-        continuations.append(None if cont is None else
-                             replace(model, coefficients=data[f"cont_coef_{t}"], **cont))
+        continuations.append(replace(model, coefficients=data[f"cont_coef_{t}"],
+                                     **stage["continuation"]))
     return ValueFunctionStack(payoff=payoff, models=models, continuations=continuations,
                               params=params, horizon=header["T"])

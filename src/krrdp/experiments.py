@@ -7,7 +7,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import bellman, oracles
 from .config import config_hash
@@ -121,6 +120,8 @@ def convergence_study(cfg, n_grid, n_jobs=1):
     at desk-scale n that the error trend is visible rather than swamped by bias
     cancellation. The grid needs at least two distinct sizes for a trend.
     """
+    from scipy.stats import spearmanr  # ~1.5 s to import, so off the CLI's import path
+
     if cfg.payoff.kind != GEO_BASKET_PUT:
         raise ValueError("no reference price: the study needs the geometric put's binomial oracle")
     if len(set(n_grid)) < 2:

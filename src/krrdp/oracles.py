@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .dynamics import gbm_step
 from .payoffs import GEO_BASKET_PUT, payoff_batch
@@ -37,6 +36,10 @@ def geometric_reduction(params, maturity, steps):
                      maturity=maturity, steps=steps)
 
 
+def _norm_cdf(z):
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))  # standard normal CDF
+
+
 def bs_price(s0, strike, r, q, sigma, maturity, kind="call"):
     """Black-Scholes European price with continuous dividend yield q."""
     if maturity <= 0 or sigma <= 0:
@@ -45,7 +48,8 @@ def bs_price(s0, strike, r, q, sigma, maturity, kind="call"):
     sq = sigma * math.sqrt(maturity)
     d1 = (math.log(s0 / strike) + (r - q + 0.5 * sigma**2) * maturity) / sq
     d2 = d1 - sq
-    call = s0 * math.exp(-q * maturity) * norm.cdf(d1) - strike * math.exp(-r * maturity) * norm.cdf(d2)
+    call = (s0 * math.exp(-q * maturity) * _norm_cdf(d1)
+            - strike * math.exp(-r * maturity) * _norm_cdf(d2))
     if kind == "call":
         return call
     return call - s0 * math.exp(-q * maturity) + strike * math.exp(-r * maturity)

@@ -178,14 +178,13 @@ def test_backward_pass_structure_and_determinism():
     stack2 = backward_pass(run)
     assert stack1.horizon == 3 and len(stack1.models) == 3
     # stage 0 is the point mass at x0: no model, priced by price_at_origin
-    assert stack1.models[0] is None
+    assert stack1.models[0] is None and stack1.continuations[0] is None
     for t in range(1, 3):
-        assert stack1.models[t].clip_bound is not None
-        if stack1.models[t].constant is None:
-            np.testing.assert_array_equal(stack1.models[t].coefficients,
-                                          stack2.models[t].coefficients)
-        else:
-            assert stack1.models[t].constant == stack2.models[t].constant
+        value, cont = stack1.models[t], stack1.continuations[t]
+        assert cont.centers is value.centers
+        assert value.clip_bound is not None and cont.clip_bound is not None
+        np.testing.assert_array_equal(value.coefficients, stack2.models[t].coefficients)
+        np.testing.assert_array_equal(cont.coefficients, stack2.continuations[t].coefficients)
 
 
 def test_backward_pass_fits_stages_above_zero_only(monkeypatch):
@@ -395,7 +394,7 @@ def test_continuation_band_is_the_leave_one_out_rms_of_refits(threshold, monkeyp
     monkeypatch.setattr(bellman, "NYSTROM_AUTO_THRESHOLD", threshold)
     run = small_run(**{"stage.n": "25", "stage.lambda": "1e-2"})
     stack = backward_pass(run)
-    bands = [stack.band(t) for t in range(1, run.steps)]
+    bands = [stack.continuations[t].loo_rms for t in range(1, run.steps)]
     assert bands == pytest.approx(_refit_bands(run, stack), rel=1e-8)
 
 
@@ -419,17 +418,24 @@ def test_continuation_band_comes_from_the_jittered_factor(threshold, monkeypatch
     stack = backward_pass(run)
     assert len(factorizations) == 2 * (run.steps - 1)
     assert sum("jitter 0.5" in r.getMessage() for r in caplog.records) == run.steps - 1
-    bands = [stack.band(t) for t in range(1, run.steps)]
+    bands = [stack.continuations[t].loo_rms for t in range(1, run.steps)]
     assert bands == pytest.approx(_refit_bands(run, stack, jitter=0.5), rel=1e-8)
     assert bands != pytest.approx(_refit_bands(run, stack), rel=1e-3)
 
 
-def test_constant_stage_gets_an_infinite_band():
-    # strike 1e6: the call pays nothing, every target is 0 and every stage constant
-    run = small_run("max_call", **{"contract.strike": "1e6"})
+@pytest.mark.parametrize("threshold", [2000, 15])
+def test_all_zero_stage_fits_zero_models(threshold, monkeypatch):
+    # strike 1e6: the call pays nothing, so every target and continuation mean
+    # is 0, and each fit solves to alpha = 0 exactly, with clip bound 0
+    monkeypatch.setattr(bellman, "NYSTROM_AUTO_THRESHOLD", threshold)
+    run = small_run("max_call", **{"contract.strike": "1e6", "stage.n": "25"})
     stack = backward_pass(run)
+    X = substream(0, 1).uniform(50.0, 200.0, size=(50, 2))
     for t in range(1, run.steps):
-        assert stack.models[t].constant == 0.0 and stack.band(t) == math.inf
+        for model in (stack.models[t], stack.continuations[t]):
+            assert not model.coefficients.any()
+            assert model.clip_bound == 0.0 and model.loo_rms == 0.0
+            assert not kernels.clipped_predict_batch(model, X).any()
     assert policy_lower_bound(stack, 50, substream(run.seed, 3)) == (0.0, 0.0)
 
 
@@ -473,31 +479,14 @@ def test_stack_serialization_round_trip(tmp_path):
         assert back.centers is loaded.models[t].centers
         np.testing.assert_array_equal(cont.coefficients, back.coefficients)
         assert (back.clip_bound, back.loo_rms) == (cont.clip_bound, cont.loo_rms)
-        assert cont.loo_rms != stack.models[t].loo_rms
-        assert loaded.band(t) == stack.band(t) < math.inf
+        assert cont.loo_rms != stack.models[t].loo_rms and cont.loo_rms < math.inf
         np.testing.assert_array_equal(kernels.clipped_predict_batch(cont, X),
                                       kernels.clipped_predict_batch(back, X))
     assert (policy_lower_bound(loaded, 400, substream(run.seed, 3))
             == policy_lower_bound(stack, 400, substream(run.seed, 3)))
-    _set_version(path, 4)
-    with pytest.raises(ValueError, match="version 4"):
+    _set_version(path, 5)
+    with pytest.raises(ValueError, match="version 5"):
         load_stack(path)
-
-
-def test_stack_round_trip_keeps_a_constant_stage(tmp_path):
-    stack = backward_pass(small_run())
-    stack.models[1] = kernels.constant_model(3.25, KernelSpec(lengthscale=20.0), 1e-6,
-                                             clip_bound=2.5)
-    stack.continuations[1] = None
-    path = tmp_path / "stack.npz"
-    save_stack(stack, path)
-    loaded = load_stack(path)
-    assert loaded.models[1].constant == 3.25 and loaded.models[1].clip_bound == 2.5
-    assert loaded.continuations[1] is None and loaded.band(1) == math.inf
-    assert loaded.models[2].constant is None
-    X = substream(0, 1).uniform(50.0, 200.0, size=(50, 2))
-    for t in range(1, stack.horizon + 1):
-        np.testing.assert_array_equal(stack.stage_fn(t)(X), loaded.stage_fn(t)(X))
 
 
 def test_stack_saves_to_the_exact_path_without_npz_suffix(tmp_path):

@@ -1,7 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import krrdp
 from krrdp import bellman
 from krrdp.cli import main
 from krrdp.config import config_hash, load_config
@@ -116,3 +121,14 @@ def test_missing_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code != 0
+
+
+def test_import_cli_leaves_out_scipy_stats():
+    # scipy.stats takes over a second to import; neither the oracles nor the
+    # experiments load it at import time, so the console script starts without it
+    src = str(Path(krrdp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, krrdp.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

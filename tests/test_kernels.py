@@ -1,6 +1,7 @@
 import logging
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,24 +271,41 @@ def test_nystrom_center_count_validation():
         kernels.nystrom_fit(X, y, 1e-6, SPEC, m=0, rng=np.random.default_rng(0))
 
 
-def test_constant_model_predicts_constant_everywhere():
-    model = kernels.constant_model(3.5, SPEC, lam=1e-6, clip_bound=4.0)
-    np.testing.assert_allclose(
-        kernels.predict_batch(model, np.random.default_rng(0).normal(size=(7, 3))), 3.5
-    )
-    assert kernels.clipped_predict_batch(model, [[0.0, 0.0, 0.0]])[0] == 3.5
-
-
-def test_with_clip_validation_and_predict_requires_bound():
-    model = kernels.krr_fit([[0.0]], [1.0], 1e-6, SPEC)
-    with pytest.raises(ValueError):
-        kernels.with_clip(model, 0.0)
+def test_clipped_predict_requires_a_clip_bound():
+    model = KrrModel(centers=np.zeros((1, 1)), coefficients=np.ones(1), kernel=SPEC, lam=0.0,
+                     clip_bound=None)
     with pytest.raises(ValueError, match="clip bound"):
         kernels.clipped_predict_batch(model, [[0.0]])
 
 
+def test_fits_clip_each_column_at_its_own_max_abs_target():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(30, 2))
+    Y = np.column_stack((rng.normal(size=30), -5.0 * rng.uniform(size=30), np.zeros(30)))
+    bounds = [float(b) for b in np.max(np.abs(Y), axis=0)]
+    exact = kernels.krr_fit(X, Y, 1e-3, SPEC)
+    nys = kernels.nystrom_fit(X, Y, 1e-3, SPEC, m=10, rng=np.random.default_rng(0))
+    for models in (exact, nys):
+        assert [model.clip_bound for model in models] == bounds
+    assert kernels.krr_fit(X, Y[:, 1], 1e-3, SPEC).clip_bound == bounds[1]
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.one_of(
+           st.just([0.0] * n), st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))),
+       st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=10))
+def test_clipped_predictions_of_a_fit_lie_within_its_max_abs_target(targets, queries):
+    # centres 3 apart on [0, 21]; the queries fall among them and far outside
+    model = kernels.krr_fit(3.0 * np.arange(len(targets))[:, None], targets, 1e-3, SPEC)
+    Xq = np.array(queries)[:, None]
+    bound = max(abs(v) for v in targets)
+    clipped = kernels.clipped_predict_batch(model, Xq)
+    assert model.clip_bound == bound and np.all(np.abs(clipped) <= bound)
+    np.testing.assert_array_equal(
+        clipped, np.clip(kernels.predict_batch(model, Xq), -bound, bound))
+
+
 def test_clipping_respects_bound():
-    model = kernels.with_clip(kernels.krr_fit([[0.0]], [10.0], 0.0, SPEC), 2.0)
+    model = replace(kernels.krr_fit([[0.0]], [10.0], 0.0, SPEC), clip_bound=2.0)
     assert kernels.clipped_predict_batch(model, [[0.0]])[0] == 2.0
     assert kernels.predict_batch(model, [[0.0]])[0] == pytest.approx(10.0, rel=1e-10)
 
