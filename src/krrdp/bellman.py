@@ -30,7 +30,7 @@ NYSTROM_AUTO_THRESHOLD = 2000
 # generate_stage_data computes its targets in this many blocks of points at
 # any thread count: BLAS rounds a row's kernel sums differently in blocks of
 # different sizes, so a fixed split keeps the targets bitwise independent of
-# --jobs.
+# n_jobs.
 TARGET_BLOCKS = 8
 
 STACK_FORMAT_VERSION = 6

@@ -7,10 +7,8 @@ from . import bellman, experiments
 from .config import ConfigError, load_config
 
 
-def _add_common(p, jobs=True):
+def _add_common(p):
     p.add_argument("--config", required=True, help="path to a run config file")
-    if jobs:
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for data generation")
 
 
 def _int_list(text):
@@ -22,13 +20,12 @@ def _int_list(text):
 
 
 def cmd_price(args):
-    res = experiments.run_benchmark(load_config(args.config), n_jobs=args.jobs)
+    res = experiments.run_benchmark(load_config(args.config))
     print(f"price {res.price_mean:.4f}  ci95 [{res.ci95[0]:.4f}, {res.ci95[1]:.4f}]"
           f"  time/rep {res.seconds:.2f}s")
     if res.oracle_price is not None:
         print(f"oracle {res.oracle_price:.4f}")
-    if res.lower_bound is not None:
-        print(f"lower_bound {res.lower_bound[0]:.4f} (stderr {res.lower_bound[1]:.4f})")
+    print(f"lower_bound {res.lower_bound[0]:.4f} (stderr {res.lower_bound[1]:.4f})")
     if args.out:
         experiments.emit_results([res], args.out)
         print(f"wrote {args.out}")
@@ -36,8 +33,7 @@ def cmd_price(args):
 
 
 def cmd_converge(args):
-    rows, rho = experiments.convergence_study(load_config(args.config), args.n_grid,
-                                              n_jobs=args.jobs)
+    rows, rho = experiments.convergence_study(load_config(args.config), args.n_grid)
     print("n,lambda,M,mean_abs_err,stderr")
     for row in rows:
         print(f"{row['n']},{row['lam']:.6g},{row['M']},{row['mean_abs_err']:.6g},{row['stderr']:.6g}")
@@ -52,7 +48,7 @@ def cmd_mc_diag(args):
 
 
 def cmd_dump_stack(args):
-    stack = bellman.backward_pass(load_config(args.config), n_jobs=args.jobs)
+    stack = bellman.backward_pass(load_config(args.config))
     bellman.save_stack(stack, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -74,7 +70,7 @@ def main(argv=None):
     p.set_defaults(fn=cmd_converge)
 
     p = sub.add_parser("mc-diag", help="continuation-value MC error diagnostic")
-    _add_common(p, jobs=False)
+    _add_common(p)
     p.set_defaults(fn=cmd_mc_diag)
 
     p = sub.add_parser("dump-stack", help="fit and serialize the value-function stack")
@@ -83,8 +79,6 @@ def main(argv=None):
     p.set_defaults(fn=cmd_dump_stack)
 
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("argument --jobs: must be at least 1")
     try:
         return args.fn(args)
     except (ConfigError, ValueError, OSError) as exc:

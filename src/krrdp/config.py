@@ -51,7 +51,6 @@ class RunConfig:
     seed: int
     repetitions: int
     eval_M: int
-    lower_bound: bool
     lb_paths: int
 
     def __post_init__(self):
@@ -65,8 +64,8 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
         if self.eval_M < 1:
             raise ConfigError("eval_M must be at least 1")
-        if self.lb_paths < 1:
-            raise ConfigError("lb_paths must be at least 1")
+        if self.lb_paths < 2:
+            raise ConfigError("lb_paths must be at least 2: a standard error needs two paths")
 
 
 def default_lengthscale(d, payoff_kind):
@@ -126,15 +125,6 @@ def _parse_file(path):
 
 def _floats(value):
     return [float(v) for v in value.split(",") if v.strip()]
-
-
-def _bool(value):
-    low = value.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def build_run_config(entries):
@@ -208,7 +198,6 @@ def build_run_config(entries):
         seed=take("seed", 20260823, int),
         repetitions=take("repetitions", 10, int),
         eval_M=take("eval_M", 100_000, int),
-        lower_bound=take("lower_bound", False, _bool),
         lb_paths=take("lb_paths", 4000, int),
     )
     if entries:

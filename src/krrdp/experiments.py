@@ -32,7 +32,7 @@ class PricingResult:
     payoff_kind: str
     seed: int
     seconds: float  # mean backward-pass wall clock per repetition
-    lower_bound: tuple | None = None
+    lower_bound: tuple  # (value, stderr) of the policy lower bound on the first stack
     oracle_price: float | None = None
 
 
@@ -50,8 +50,9 @@ def oracle_price(cfg):
                                          tree_steps=cfg.steps * ORACLE_TREE_STEPS_PER_DATE)
 
 
-def run_benchmark(cfg, n_jobs=1):
-    """Repetitions x (backward pass + fresh origin evaluation), aggregated."""
+def run_benchmark(cfg):
+    """Repetitions x (backward pass + fresh origin evaluation), aggregated, and
+    the policy lower bound on the first stack, checked against the price."""
     digest = config_hash(cfg)
     prices = []
     fit_seconds = 0.0
@@ -59,7 +60,7 @@ def run_benchmark(cfg, n_jobs=1):
     for rep in range(cfg.repetitions):
         rep_cfg = replace(cfg, seed=_child_seed(cfg.seed, REP, rep))
         tic = time.perf_counter()
-        stack = bellman.backward_pass(rep_cfg, n_jobs)
+        stack = bellman.backward_pass(rep_cfg)
         fit_seconds += time.perf_counter() - tic
         if first_stack is None:
             first_stack = stack
@@ -72,16 +73,13 @@ def run_benchmark(cfg, n_jobs=1):
         ci = (mean - half, mean + half)
     else:
         ci = (mean, mean)
-    lb = None
-    if cfg.lower_bound:
-        lb = bellman.policy_lower_bound(first_stack, cfg.lb_paths,
-                                        substream(cfg.seed, LOWER))
-        price_se = (ci[1] - mean) / 1.96
-        if lb[0] - mean > BRACKET_Z * math.hypot(price_se, lb[1]):
-            logger.warning("price %.4f (stderr %.4f) lies below the policy lower bound %.4f "
-                           "(stderr %.4f) on the same stack; the stage models are degenerate, "
-                           "check stage.lambda and stage.lengthscale",
-                           mean, price_se, lb[0], lb[1])
+    lb = bellman.policy_lower_bound(first_stack, cfg.lb_paths, substream(cfg.seed, LOWER))
+    price_se = (ci[1] - mean) / 1.96
+    if lb[0] - mean > BRACKET_Z * math.hypot(price_se, lb[1]):
+        logger.warning("price %.4f (stderr %.4f) lies below the policy lower bound %.4f "
+                       "(stderr %.4f) on the same stack; the stage models are degenerate, "
+                       "check stage.lambda and stage.lengthscale",
+                       mean, price_se, lb[0], lb[1])
     return PricingResult(
         price_mean=mean,
         ci95=ci,
@@ -111,7 +109,7 @@ def schedule_hyperparams(n):
     return CONVERGENCE_C_LAMBDA * n ** -0.5, math.ceil(CONVERGENCE_C_M * n ** 0.5)
 
 
-def convergence_study(cfg, n_grid, n_jobs=1):
+def convergence_study(cfg, n_grid):
     """Error vs oracle as n grows, with (lambda, M) from ``schedule_hyperparams``.
 
     Returns (rows, spearman) where each row is a dict with keys
@@ -130,8 +128,7 @@ def convergence_study(cfg, n_grid, n_jobs=1):
     for n in n_grid:
         lam, M = schedule_hyperparams(n)
         stages = tuple(replace(s, n=int(n), M=M, lam=lam) for s in cfg.stages)
-        sub = replace(cfg, stages=stages, lower_bound=False)
-        res = run_benchmark(sub, n_jobs)
+        res = run_benchmark(replace(cfg, stages=stages))
         errs = np.abs(np.asarray(res.per_rep_prices) - res.oracle_price)
         stderr = float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else 0.0
         rows.append({"n": int(n), "lam": lam, "M": M,
@@ -167,7 +164,7 @@ _CSV_COLUMNS = ("d", "payoff", "price", "ci_low", "ci_high", "oracle",
 
 def _result_row(res):
     return [res.d, res.payoff_kind, res.price_mean, res.ci95[0], res.ci95[1],
-            res.oracle_price, res.lower_bound[0] if res.lower_bound else None,
+            res.oracle_price, res.lower_bound[0],
             res.seconds, res.seed, res.config_hash]
 
 

@@ -37,7 +37,6 @@ def row_config(d, payoff, **extra):
         "contract.strike": "100",
         "seed": str(SEED),
         "repetitions": "10",
-        "lower_bound": "true",
     }
     entries.update(extra)
     return build_run_config(entries)

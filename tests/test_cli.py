@@ -1,4 +1,5 @@
 import csv
+import logging
 import os
 import subprocess
 import sys
@@ -40,7 +41,7 @@ def test_price_command(cfg_path, capsys):
 
 def test_price_writes_csv(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    path.write_text(CFG_TEXT.replace("repetitions = 2\n", "repetitions = 1\nlower_bound = true\n"))
+    path.write_text(CFG_TEXT.replace("repetitions = 2\n", "repetitions = 1\n"))
     out_file = tmp_path / "row.csv"
     assert main(["price", "--config", str(path), "--out", str(out_file)]) == 0
     assert out_file.read_text().startswith("d,payoff,price,")
@@ -50,6 +51,20 @@ def test_price_writes_csv(tmp_path, capsys):
     assert float(row["lower_bound"]) > 0
     # The row's provenance key is the hash of the file given, with no override.
     assert row["config_hash"] == config_hash(load_config(path))
+
+
+def test_price_prints_the_bound_and_warns_when_the_price_lies_below_it(tmp_path, capsys, caplog):
+    # lambda = 1e300 shrinks every stage model to 0, so the price reads 0.0; the
+    # config sets no bound key, and the bound and its check run all the same.
+    path = tmp_path / "degenerate.cfg"
+    path.write_text(CFG_TEXT + "stage.lambda = 1e300\n")
+    with caplog.at_level(logging.WARNING, logger="krrdp.experiments"):
+        assert main(["price", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("price 0.0000")
+    assert any(line.startswith("lower_bound ") for line in lines)
+    [record] = caplog.records
+    assert "below the policy lower bound" in record.getMessage()
 
 
 def test_price_seed_override_changes_result(tmp_path, capsys):
@@ -76,9 +91,7 @@ def test_mc_diag_command(cfg_path, capsys):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("converge", "--n-grid", "x"),
-    ("price", "--jobs", "0"),
-    ("price", "--jobs", "-3"),
-], ids=["n-grid-not-int", "jobs-zero", "jobs-negative"])
+], ids=["n-grid-not-int"])
 def test_malformed_list_argument_names_its_flag(command, flag, value, cfg_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", cfg_path, flag, value])
@@ -106,13 +119,25 @@ def test_bad_config_contents_error(tmp_path, capsys):
     assert err.startswith("error:") and "contract.payoff" in err
 
 
-@pytest.mark.parametrize("flag", [["--oracle"], ["--seed", "99"], ["--reps", "1"], ["--lower-bound"]],
-                         ids=lambda flag: flag[0])
-def test_price_has_no_oracle_option(flag, cfg_path, capsys):
-    # Every setting comes from the config file: the oracle is always printed for
-    # the put, and seed, repetitions and lower_bound are config keys.
+REQUIRED_ARGS = {"price": [], "converge": ["--n-grid", "20,40"], "dump-stack": ["--out", "s.npz"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param("price", ["--oracle"], id="--oracle"),
+    pytest.param("price", ["--seed", "99"], id="--seed"),
+    pytest.param("price", ["--reps", "1"], id="--reps"),
+    pytest.param("price", ["--lower-bound"], id="--lower-bound"),
+    pytest.param("price", ["--jobs", "2"], id="price--jobs"),
+    pytest.param("converge", ["--jobs", "2"], id="converge--jobs"),
+    pytest.param("dump-stack", ["--jobs", "2"], id="dump-stack--jobs"),
+])
+def test_price_has_no_oracle_option(command, flag, cfg_path, capsys):
+    # Every setting comes from the config file, and a command runs without one
+    # that has a single value in use: the oracle is always printed for the put,
+    # the lower bound always runs, the data generation runs on one thread, and
+    # seed and repetitions are config keys.
     with pytest.raises(SystemExit) as exc:
-        main(["price", "--config", cfg_path, *flag])
+        main([command, "--config", cfg_path, *REQUIRED_ARGS[command], *flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 

@@ -91,7 +91,7 @@ def test_per_stage_override():
         ({"market.d": "2", "contract.payoff": "geo_basket_put"}, "contract.strike"),
         ({**BASE, "contract.payoff": "lookback"}, "payoff"),
         ({**BASE, "market.rho": "1,0.2,0.2"}, "rho"),
-        ({**BASE, "lower_bound": "maybe"}, "boolean"),
+        ({**BASE, "lower_bound": "true"}, "unknown field 'lower_bound'"),
         ({**BASE, "typo.key": "1"}, "unknown field"),
         ({**BASE, "contract.steps": "0"}, "steps"),
         ({**BASE, "market.d": "two"}, "market.d"),
@@ -125,6 +125,7 @@ def test_per_stage_override():
         ({**BASE, "stage.beta": "0.5"}, "unknown field 'stage.beta'"),
         ({**BASE, "oracle": "true"}, "unknown field 'oracle'"),
         ({**BASE, "seed": "-1"}, "seed"),
+        ({**BASE, "lb_paths": "1"}, "a standard error needs two paths"),
     ],
 )
 def test_invalid_configs_raise(entries, match):
@@ -156,7 +157,6 @@ CHANGED = {
     "seed": "999",
     "repetitions": "3",
     "eval_M": "500",
-    "lower_bound": "true",
     "lb_paths": "100",
 }
 

@@ -62,8 +62,8 @@ def test_repetitions_use_distinct_seeds():
     assert experiments._child_seed(11, REP, 0) != experiments._child_seed(11, REP, 1)
 
 
-def test_lower_bound_attached_when_requested():
-    res = run_benchmark(tiny_config(lower_bound="true", lb_paths="400"))
+def test_lower_bound_always_attached():
+    res = run_benchmark(tiny_config(lb_paths="400"))
     lb, se = res.lower_bound
     assert lb >= 0 and se > 0
 
@@ -201,13 +201,12 @@ def test_price_below_lower_bound_warns(caplog, tmp_path):
 
 def test_shipped_quick_config_does_not_warn(caplog):
     with caplog.at_level(logging.WARNING, logger="krrdp.experiments"):
-        res = run_benchmark(load_config(QUICK_CFG))
-    assert res.lower_bound is not None
+        run_benchmark(load_config(QUICK_CFG))
     assert caplog.records == []
 
 
 def test_emit_results_csv_round_trip(tmp_path):
-    res = run_benchmark(tiny_config(lower_bound="true", lb_paths="200"))
+    res = run_benchmark(tiny_config(lb_paths="200"))
     path = tmp_path / "rows.csv"
     emit_results([res], path)
     with open(path) as fh:
@@ -223,12 +222,13 @@ def test_emit_results_csv_round_trip(tmp_path):
 
 
 def test_emit_results_leaves_a_missing_oracle_empty(tmp_path):
-    res = run_benchmark(tiny_config("max_call"))
+    res = run_benchmark(tiny_config("max_call", lb_paths="200"))
     path = tmp_path / "rows.csv"
     emit_results([res], path)
     with open(path) as fh:
         [row] = list(csv.DictReader(fh))
-    assert (row["d"], row["payoff"], row["oracle"], row["lower_bound"]) == ("2", "max_call", "", "")
+    assert (row["d"], row["payoff"], row["oracle"]) == ("2", "max_call", "")
+    assert float(row["lower_bound"]) == res.lower_bound[0] > 0
 
 
 def test_emit_results_validation(tmp_path):
