@@ -92,12 +92,13 @@ def continuation(X, next_fn, Z, params):
     """The (n, 2h) matrix of discounted next values e^{-r dt} next_fn(step(X_i, +-Z_ij)).
 
     Each state X_i (a row of X, shape (n, d)) steps once per shock Z_ij and
-    once per -Z_ij (Z has shape (n, h, d), from ``pair_shocks``), and next_fn
-    is evaluated once on all 2nh next states. Columns j and h + j are a pair;
-    row means are the Monte Carlo continuation values.
+    once per -Z_ij (Z has shape (n, h, d), from ``pair_shocks``), both from one
+    shock product, and next_fn is evaluated once on all 2nh next states.
+    Columns j and h + j are a pair; row means are the Monte Carlo continuation
+    values.
     """
     n, h, d = Z.shape
-    xn = gbm_step(X[:, None, :], params, np.concatenate((Z, -Z), axis=1))
+    xn = gbm_step(X[:, None, :], params, Z, antithetic=True)
     return math.exp(-params.r * params.dt) * next_fn(xn.reshape(-1, d)).reshape(n, 2 * h)
 
 

@@ -65,16 +65,27 @@ class GbmParams:
         object.__setattr__(self, "corr_root", L)
 
 
-def gbm_step(x, params, z):
+def gbm_step(x, params, z, antithetic=False):
     """One log-Euler step; x and output strictly positive.
 
-    Accepts x (d,) with z (d,) or (m, d), or x (m, d) with z (m, d).
+    Accepts x (d,) with z (d,) or (m, d), or x (m, d) with z (m, d). With
+    ``antithetic``, z is (..., h, d), x broadcasts against it, and each x steps
+    on z and on -z from one shock product: the (..., 2h, d) result holds the +z
+    steps, then the -z steps, bitwise equal to a step on concat(z, -z).
     """
     x = np.asarray(x, dtype=np.float64)
     drift = (params.r - 0.5 * params.sigma**2) * params.dt
     z = np.asarray(z, dtype=np.float64)
     shock = params.sigma * np.sqrt(params.dt) * (z @ params.corr_root.T)
-    return x * np.exp(drift + shock)
+    if not antithetic:
+        return x * np.exp(drift + shock)
+    h = shock.shape[-2]
+    growth = np.empty(shock.shape[:-2] + (2 * h, params.d))
+    np.add(drift, shock, out=growth[..., :h, :])
+    np.subtract(drift, shock, out=growth[..., h:, :])
+    np.exp(growth, out=growth)
+    growth *= x
+    return growth
 
 
 def sample_mu_t(params, t, n, rng):

@@ -1,12 +1,15 @@
 """Kernel evaluation, Gram matrices, and (clipped, optionally Nystrom) KRR."""
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 logger = logging.getLogger(__name__)
+
+_LOG2_E = 1.0 / math.log(2.0)
 
 
 class FitError(RuntimeError):
@@ -23,7 +26,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind != "rbf":
             raise ValueError(f"unsupported kernel kind {self.kind!r}")
-        # _rbf_gram scales by 1 / lengthscale**2: the square must be finite and normal.
+        # _lifted scales by 1 / lengthscale**2: the square must be finite and normal.
         tiny = np.finfo(float).tiny
         if not (self.lengthscale > 0 and tiny <= self.lengthscale * self.lengthscale < np.inf):
             raise ValueError(f"lengthscale must be positive, its square finite and >= {tiny:.3g}")
@@ -58,49 +61,55 @@ def _as_matrix(X):
     return X
 
 
-def _lift_centers(Y):
-    """Lifted centres for ``_rbf_gram``: their mean mu and the (d + 2, m) matrix.
+def _lifted(X, Y, lengthscale):
+    """Lifted rows (n, d + 2) and scaled lifted centres (d + 2, m) for ``_rbf_gram``.
 
-    Column j of the C-contiguous result is [y_j - mu, -||y_j - mu||^2 / 2, 1].
-    """
-    m, d = Y.shape
-    mu = Y.sum(axis=0) / max(m, 1)
-    Yt = np.empty((d + 2, m))
-    np.subtract(Y.T, mu[:, None], out=Yt[:d])
-    np.einsum("ij,ij->j", Yt[:d], Yt[:d], out=Yt[d])
-    Yt[d] *= -0.5
-    Yt[d + 1] = 1.0
-    return mu, Yt
-
-
-def _rbf_gram(X, centers, lengthscale, out=None, lift=None):
-    """RBF block exp(-||x - y||^2 / (2 l^2)) for (n, d) X against lifted centres.
-
-    ``centers`` is ``_lift_centers(Y)`` for the (m, d) centres Y. Each row x is
-    lifted to [x - mu, 1, -||x - mu||^2 / 2] in ``lift`` (an (n, d + 2)
-    C-contiguous buffer, or a new array), so one GEMM writes the whole exponent
-    -||x - y||^2 / 2 into ``out`` (a C-contiguous (n, m) buffer, or a new
-    array). Shifting both sides by mu, the centres' mean, keeps the norms small
+    Both sides are shifted by mu, the centres' mean, which keeps the norms small
     against the cross term, so cancellation costs less than with raw norms.
-    Three in-place passes on that one array follow: the clamp at 0, the scale
-    by 1/l^2 and the exp; no (n, m) temporary is made. The scale stays a pass
-    of its own: folded into the lift, ||x||^2 / l^2 would overflow to inf - inf
-    at lengthscales near ``KernelSpec``'s floor. The scale itself may overflow
-    there to -inf, whose exp is 0, the exact limit.
+    Row i of the rows is [x_i - mu, 1, -||x_i - mu||^2 / 2]; column j of the
+    centres is s [y_j - mu, -||y_j - mu||^2 / 2, 1], so their product is
+    -s ||x_i - y_j||^2 / 2. The scale s = log2(e) / l^2 makes exp2 of that the
+    kernel. Near ``KernelSpec``'s floor, s is capped at
+    2**1000 / max(1, largest ||x - mu||^2, largest ||y - mu||^2), so that no
+    product term of the GEMM exceeds 2**1000 and no sum reaches inf - inf;
+    every off-diagonal kernel value there is exactly 0 either way.
     """
-    mu, Yt = centers
     n, d = X.shape
-    if lift is None:
-        lift = np.empty((n, d + 2))
-    np.subtract(X, mu, out=lift[:, :d])
-    lift[:, d] = 1.0
-    np.einsum("ij,ij->i", lift[:, :d], lift[:, :d], out=lift[:, d + 1])
-    lift[:, d + 1] *= -0.5
-    G = np.matmul(lift, Yt, out=out)
-    np.minimum(G, 0.0, out=G)
-    with np.errstate(over="ignore"):
-        G *= 1.0 / lengthscale**2
-    np.exp(G, out=G)
+    m = len(Y)
+    mu = Y.sum(axis=0) / max(m, 1)
+    rows = np.empty((n, d + 2))
+    np.subtract(X, mu, out=rows[:, :d])
+    rows[:, d] = 1.0
+    np.einsum("ij,ij->i", rows[:, :d], rows[:, :d], out=rows[:, d + 1])
+    rows[:, d + 1] *= -0.5
+    cols = np.empty((d + 2, m))
+    np.subtract(Y.T, mu[:, None], out=cols[:d])
+    np.einsum("ij,ij->j", cols[:d], cols[:d], out=cols[d])
+    cols[d] *= -0.5
+    cols[d + 1] = 1.0
+    largest = -2.0 * min(rows[:, d + 1].min(initial=0.0), cols[d].min(initial=0.0))
+    cols *= min(_LOG2_E / lengthscale**2, 2.0**1000 / max(1.0, largest))
+    return rows, cols
+
+
+def _rbf_gram(rows, cols, out=None):
+    """RBF block exp(-||x - y||^2 / (2 l^2)) from ``_lifted``'s rows and centres.
+
+    Writes into ``out`` (a C-contiguous (n, m) buffer, or a new array); no
+    (n, m) temporary is made. Three passes over the block:
+
+    - one GEMM writes the whole base-2 exponent;
+    - the clamp at 0, only when the block's max exceeds 0. Only cancellation
+      makes an exponent positive, at or next to a centre: in practice the
+      diagonal of ``gram_matrix(X, X)``, not a predict block. Reading the max
+      costs less than clamping every block;
+    - ``np.exp2`` in place. It is cheaper than ``np.exp``, and because the
+      scale and log2(e) ride in the centres' lift, no 1/l^2 pass is needed.
+    """
+    G = np.matmul(rows, cols, out=out)
+    if G.max(initial=0.0) > 0.0:
+        np.minimum(G, 0.0, out=G)
+    np.exp2(G, out=G)
     return G
 
 
@@ -111,7 +120,7 @@ def gram_matrix(X, Y, spec):
     Y = _as_matrix(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    G = _rbf_gram(X, _lift_centers(Y), spec.lengthscale)
+    G = _rbf_gram(*_lifted(X, Y, spec.lengthscale))
     if same:
         np.fill_diagonal(G, 1.0)  # k(x, x) = 1, which the GEMM loses to cancellation
     return G
@@ -220,26 +229,24 @@ def nystrom_fit(X, y, lam, spec, m, rng):
 def predict_batch(model, X):
     """Kernel expansion sum_j coef_j k(c_j, x_i) for a batch X (n, d).
 
-    The centres are lifted once per call (``_lift_centers``). Rows go through
-    ``_rbf_gram`` in blocks of at most 2**16 kernel values (512 KiB, so a block
-    stays in cache through its three in-place passes); each block is lifted
-    into one (rows, d + 2) buffer and its kernel values written into one
-    (rows, m) buffer, both allocated once per call, and reduced by one GEMV.
+    The rows and the centres are lifted once per call (``_lifted``), which
+    folds the 1/l^2 scale into one (d + 2, m) multiply. Rows then go through
+    ``_rbf_gram`` in blocks of at most 2**16 kernel values (512 KiB, so a
+    block stays in cache from the GEMM to the exp2), each written into one
+    (rows, m) buffer allocated once per call and reduced by one GEMV.
     """
     X = _as_matrix(X)
     n = X.shape[0]
     centers = model.centers
     if X.shape[1] != centers.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {centers.shape[1]}")
-    lifted = _lift_centers(centers)
+    rows, cols = _lifted(X, centers, model.kernel.lengthscale)
     out = np.empty(n)
-    rows = max(1, 2**16 // max(1, len(centers)))
-    lift = np.empty((min(rows, n), X.shape[1] + 2))
-    buf = np.empty((min(rows, n), len(centers)))
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        out[lo:hi] = _rbf_gram(X[lo:hi], lifted, model.kernel.lengthscale,
-                               out=buf[:hi - lo], lift=lift[:hi - lo]) @ model.coefficients
+    block = max(1, 2**16 // max(1, len(centers)))
+    buf = np.empty((min(block, n), len(centers)))
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        out[lo:hi] = _rbf_gram(rows[lo:hi], cols, out=buf[:hi - lo]) @ model.coefficients
     return out
 
 

@@ -71,8 +71,18 @@ def test_continuation_value_matches_manual_mc():
     payoff = PayoffSpec(kind="geo_basket_put", strike=100.0)
     X = np.array([[100.0, 100.0], [95.0, 102.0], [120.0, 80.0]])
     Z = substream(3, 0).standard_normal((3, 32, 2))
-    S = continuation(X, lambda Xb: payoff_batch(payoff, Xb), Z, params)
+    seen = []
+
+    def next_fn(Xb):
+        seen.append(Xb.copy())
+        return payoff_batch(payoff, Xb)
+
+    S = continuation(X, next_fn, Z, params)
     assert S.shape == (3, 64)
+    # the pair step gives bitwise the states of a step on the concatenated +-Z
+    [states] = seen
+    np.testing.assert_array_equal(
+        states, gbm_step(X[:, None], params, np.concatenate((Z, -Z), axis=1)).reshape(-1, 2))
     for i in range(3):
         z = np.concatenate([Z[i], -Z[i]])
         manual = math.exp(-0.05 / 9.0) * payoff_batch(payoff, gbm_step(X[i], params, z))

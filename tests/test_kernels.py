@@ -72,7 +72,7 @@ def test_rbf_gram_fills_out_as_gram_matrix_allocates():
     rng = np.random.default_rng(7)
     X, Y = rng.normal(size=(30, 3)), rng.normal(size=(20, 3))
     buf = np.full((40, 20), np.nan)
-    G = kernels._rbf_gram(X, kernels._lift_centers(Y), SPEC.lengthscale, out=buf[:30])
+    G = kernels._rbf_gram(*kernels._lifted(X, Y, SPEC.lengthscale), out=buf[:30])
     assert np.shares_memory(G, buf) and G.shape == (30, 20)
     np.testing.assert_array_equal(G, kernels.gram_matrix(X, Y, SPEC))
     assert np.isnan(buf[30:]).all()
@@ -121,6 +121,21 @@ def test_smallest_lengthscale_gives_identity_gram_without_overflow_warning():
         model = kernels.krr_fit(X, X[:, 0], 0.0, spec)
     np.testing.assert_array_equal(G[~np.eye(5, dtype=bool)], 0.0)
     np.testing.assert_array_equal(model.coefficients, X[:, 0])  # the fitted Gram is I
+
+
+@pytest.mark.parametrize("lengthscale", [1.4918e-154, 1e-150, 1e-8, 1e-6])
+def test_predict_at_tiny_lengthscale_is_finite_and_within_unit_bounds(lengthscale):
+    # Far below the points' spacing every off-diagonal kernel value is 0, so a
+    # unit-coefficient model predicts within [0, 1], at its own centres too,
+    # where cancellation can make the exponent positive; near the floor the
+    # folded scale is capped so that the GEMM stays finite.
+    rng = np.random.default_rng(13)
+    centers = _price_scale_points(rng, 50, 10)
+    model = KrrModel(centers=centers, coefficients=np.ones(50),
+                     kernel=KernelSpec(lengthscale=lengthscale), lam=0.0)
+    for X in (centers, _price_scale_points(rng, 200, 10)):
+        values = kernels.predict_batch(model, X)
+        assert np.all(np.isfinite(values) & (values >= 0.0) & (values <= 1.0))
 
 
 @pytest.mark.parametrize("lengthscale", [1e-6, 1e-150])
