@@ -217,25 +217,6 @@ def _nested(stack, t, x, rng):
     return continuation(x, stack.stage_fn(t + 1), Z, stack.params).mean(axis=1)
 
 
-def contraction_check(f, g, t, n_eval, M, params, payoff, rng):
-    """Empirical Bellman Lipschitz bound on shared inner noise.
-
-    Returns (lhs, rhs): lhs is the L2(mu_t) distance of the two empirical
-    Bellman images; rhs is exp(-r dt) times the L2 distance of f and g over
-    the shared propagated samples. lhs <= rhs pathwise.
-    """
-    X = sample_mu_t(params, t, n_eval, rng)
-    Z = pair_shocks(rng, n_eval, M, params.d)
-    F = continuation(X, f, Z, params)
-    G = continuation(X, g, Z, params)
-    C = payoff_batch(payoff, X)
-    tf = np.maximum(C, F.mean(axis=1))
-    tg = np.maximum(C, G.mean(axis=1))
-    lhs = float(np.sqrt(np.mean((tf - tg) ** 2)))
-    rhs = float(np.sqrt(np.mean((F - G) ** 2)))
-    return lhs, rhs
-
-
 def save_stack(stack, path):
     """Versioned npz serialization of stages 1..T-1; predictions round-trip bit-exactly.
 

@@ -48,8 +48,8 @@ def cmd_mc_diag(args):
 
 
 def cmd_dump_stack(args):
-    stack = bellman.backward_pass(load_config(args.config))
-    bellman.save_stack(stack, args.out)
+    run = experiments.repetition(load_config(args.config), 0)
+    bellman.save_stack(bellman.backward_pass(run), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -73,7 +73,8 @@ def main(argv=None):
     _add_common(p)
     p.set_defaults(fn=cmd_mc_diag)
 
-    p = sub.add_parser("dump-stack", help="fit and serialize the value-function stack")
+    p = sub.add_parser("dump-stack",
+                       help="fit and serialize the stack whose lower bound price prints")
     _add_common(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_dump_stack)

@@ -6,6 +6,7 @@ draws from it before any parallel work, so results do not depend on the
 order in which threads run.
 """
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +20,8 @@ LOWER = 3   # lower-bound policy simulation
 REP = 4     # per-repetition root
 # Renumbering a purpose changes every draw made under it.
 NYSTROM = 8  # Nystrom center subsample
+
+logger = logging.getLogger(__name__)
 
 
 def substream(seed, *key):
@@ -55,6 +58,8 @@ class GbmParams:
         try:
             L = np.linalg.cholesky(rho)
         except np.linalg.LinAlgError:
+            logger.warning("rho is not positive definite; retrying its Cholesky "
+                           "factorization with jitter 1e-10 added to the diagonal")
             try:
                 L = np.linalg.cholesky(rho + 1e-10 * np.eye(self.d))
             except np.linalg.LinAlgError as exc:

@@ -32,13 +32,18 @@ class PricingResult:
     payoff_kind: str
     seed: int
     seconds: float  # mean backward-pass wall clock per repetition
-    lower_bound: tuple  # (value, stderr) of the policy lower bound on the first stack
+    lower_bound: tuple  # (value, stderr) of the policy lower bound on repetition 0's stack
     oracle_price: float | None = None
 
 
-def _child_seed(seed, *key):
-    """A root seed derived from (seed, *key), for a run's independent parts."""
-    return int(np.random.SeedSequence([seed, *key]).generate_state(1, np.uint64)[0])
+def repetition(cfg, rep):
+    """The run of repetition ``rep``: cfg with its seed replaced by a child of (seed, REP, rep).
+
+    ``run_benchmark`` prices every repetition on one; ``mc_error_diagnostic``
+    and ``krrdp dump-stack`` take repetition 0, whose stack gives the lower bound.
+    """
+    child = np.random.SeedSequence([cfg.seed, REP, rep]).generate_state(1, np.uint64)[0]
+    return replace(cfg, seed=int(child))
 
 
 def oracle_price(cfg):
@@ -52,13 +57,13 @@ def oracle_price(cfg):
 
 def run_benchmark(cfg):
     """Repetitions x (backward pass + fresh origin evaluation), aggregated, and
-    the policy lower bound on the first stack, checked against the price."""
+    the policy lower bound on repetition 0's stack, checked against the price."""
     digest = config_hash(cfg)
     prices = []
     fit_seconds = 0.0
     first_stack = None
     for rep in range(cfg.repetitions):
-        rep_cfg = replace(cfg, seed=_child_seed(cfg.seed, REP, rep))
+        rep_cfg = repetition(cfg, rep)
         tic = time.perf_counter()
         stack = bellman.backward_pass(rep_cfg)
         fit_seconds += time.perf_counter() - tic
@@ -138,20 +143,21 @@ def convergence_study(cfg, n_grid):
 
 
 def mc_error_diagnostic(cfg):
-    """Standard error of stage T-1's continuation means, on the run's own draws.
+    """Standard error of stage T-1's continuation means, on repetition 0's draws.
 
-    X and the inner shocks are those ``backward_pass(cfg)`` draws at t = T-1,
-    so the row means of S below are its continuation values. The draws come
+    X and the inner shocks are those ``backward_pass(repetition(cfg, 0))``
+    draws at t = T-1, so the row means of S below are the continuation values
+    of the stack behind ``run_benchmark``'s lower bound. The draws come
     in h antithetic pairs, columns j and h + j, so the i.i.d. units are the
     pair means P_ij. Returns sqrt(mean_i s_i^2 / h), s_i^2 the sample variance
     of row i of P; at another sample size M' it scales by sqrt(2h / M').
     """
     t = cfg.steps - 1
-    params, stage = cfg.params, cfg.stages[t]
+    params, stage, seed = cfg.params, cfg.stages[t], repetition(cfg, 0).seed
     if stage.M < 3:
         raise ValueError(f"need M >= 3 for a variance over two antithetic pairs, got M={stage.M}")
-    X = sample_mu_t(params, t, stage.n, substream(cfg.seed, OUTER, t))
-    Z = bellman.pair_shocks(substream(cfg.seed, INNER, t), stage.n, stage.M, params.d)
+    X = sample_mu_t(params, t, stage.n, substream(seed, OUTER, t))
+    Z = bellman.pair_shocks(substream(seed, INNER, t), stage.n, stage.M, params.d)
     S = bellman.continuation(X, lambda Xb: payoff_batch(cfg.payoff, Xb), Z, params)
     h = Z.shape[1]
     P = (S[:, :h] + S[:, h:]) / 2

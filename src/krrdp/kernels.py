@@ -45,8 +45,8 @@ class KrrModel:
     coefficients: np.ndarray
     kernel: KernelSpec
     lam: float
-    clip_bound: float | None = None
-    loo_rms: float | None = None  # closed-form leave-one-out RMS error of the fit
+    clip_bound: float
+    loo_rms: float  # closed-form leave-one-out RMS error of the fit
     constant = None  # not a field; see above
 
     def __post_init__(self):
@@ -251,6 +251,4 @@ def predict_batch(model, X):
 
 
 def clipped_predict_batch(model, X):
-    if model.clip_bound is None:
-        raise ValueError("model has no clip bound set")
     return np.clip(predict_batch(model, X), -model.clip_bound, model.clip_bound)

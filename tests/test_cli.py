@@ -11,6 +11,8 @@ import krrdp
 from krrdp import bellman
 from krrdp.cli import main
 from krrdp.config import config_hash, load_config
+from krrdp.dynamics import LOWER, substream
+from krrdp.experiments import run_benchmark
 
 
 CFG_TEXT = (
@@ -24,6 +26,8 @@ CFG_TEXT = (
     "eval_M = 2000\n"
     "seed = 11\n"
 )
+
+QUICK_CFG = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
 
 
 @pytest.fixture
@@ -104,6 +108,16 @@ def test_dump_stack_command(cfg_path, tmp_path, capsys):
     assert main(["dump-stack", "--config", cfg_path, "--out", str(out_file)]) == 0
     stack = bellman.load_stack(out_file)
     assert stack.horizon == 3
+
+
+def test_dumped_stack_is_the_one_behind_the_printed_lower_bound(tmp_path, capsys):
+    # dump-stack writes repetition 0's stack, the one run_benchmark bounds
+    out_file = tmp_path / "stack.npz"
+    assert main(["dump-stack", "--config", str(QUICK_CFG), "--out", str(out_file)]) == 0
+    cfg = load_config(QUICK_CFG)
+    bound = bellman.policy_lower_bound(bellman.load_stack(out_file), cfg.lb_paths,
+                                       substream(cfg.seed, LOWER))
+    assert bound == run_benchmark(cfg).lower_bound
 
 
 def test_missing_config_file_errors(capsys):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -36,6 +37,20 @@ def test_params_validation():
     not_psd = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match="positive semidefinite"):
         GbmParams(d=2, r=0.05, sigma=good.sigma, rho=not_psd, x0=good.x0, dt=good.dt)
+
+
+@pytest.mark.parametrize("rho_off, warns", [(1.0, True), (0.2, False)])
+def test_correlation_jitter_is_reported(rho_off, warns, caplog):
+    # rho = 1 at d = 2 is singular: its Cholesky factorization needs the jitter
+    with caplog.at_level(logging.WARNING, logger="krrdp.dynamics"):
+        params = make_params(rho_off=rho_off)
+    assert np.all(np.isfinite(params.corr_root))
+    messages = [record.getMessage() for record in caplog.records]
+    if warns:
+        [message] = messages
+        assert "not positive definite" in message and "jitter 1e-10" in message
+    else:
+        assert messages == []
 
 
 def test_gbm_step_zero_noise_hand_value():

@@ -1,6 +1,7 @@
 import csv
 import logging
 import math
+from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from krrdp import bellman, experiments
 from krrdp.config import ConfigError, build_run_config, load_config
-from krrdp.dynamics import REP
+from krrdp.dynamics import EVAL, substream
 from krrdp.experiments import (
     emit_results,
     mc_error_diagnostic,
@@ -59,7 +60,13 @@ def test_repetitions_use_distinct_seeds():
     cfg = tiny_config()
     res = run_benchmark(cfg)
     assert len(set(res.per_rep_prices)) == len(res.per_rep_prices)
-    assert experiments._child_seed(11, REP, 0) != experiments._child_seed(11, REP, 1)
+    runs = [experiments.repetition(cfg, rep) for rep in range(cfg.repetitions)]
+    assert len({cfg.seed, *(run.seed for run in runs)}) == cfg.repetitions + 1
+    assert all(replace(run, seed=cfg.seed) == cfg for run in runs)
+    # run_benchmark prices repetition rep on the run repetition(cfg, rep) gives
+    for run, price in zip(runs, res.per_rep_prices):
+        stack = bellman.backward_pass(run)
+        assert bellman.price_at_origin(stack, cfg.eval_M, substream(run.seed, EVAL)) == price
 
 
 def test_lower_bound_always_attached():
@@ -144,7 +151,8 @@ def test_convergence_study_row_shape():
 
 
 def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
-    # The diagnostic's continuation matrix is the one behind stage T-1's targets.
+    # The diagnostic's continuation matrix is the one behind stage T-1's targets
+    # in repetition 0, whose stack gives run_benchmark's lower bound.
     cfg = tiny_config()
     t, stage = cfg.steps - 1, cfg.stages[-1]
     calls = []
@@ -161,7 +169,7 @@ def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
     [(X, S)] = calls
     payoff_fn = lambda Xb: payoff_batch(cfg.payoff, Xb)
     X_run, y_run = bellman.generate_stage_data(t, stage, payoff_fn, cfg.params, cfg.payoff,
-                                               cfg.seed)
+                                               experiments.repetition(cfg, 0).seed)
     np.testing.assert_array_equal(X, X_run)
     np.testing.assert_array_equal(np.maximum(payoff_fn(X), S.mean(axis=1)), y_run)
     assert S.shape == (stage.n, stage.M)

@@ -62,7 +62,7 @@ def test_predict_with_more_centers_than_a_block_holds():
     rng = np.random.default_rng(6)
     centers = rng.normal(size=(2**16 + 5, 2))
     model = KrrModel(centers=centers, coefficients=rng.normal(size=len(centers)),
-                     kernel=SPEC, lam=0.0)
+                     kernel=SPEC, lam=0.0, clip_bound=math.inf, loo_rms=math.inf)
     X = rng.normal(size=(3, 2))
     direct = kernels.gram_matrix(X, centers, SPEC) @ model.coefficients
     np.testing.assert_allclose(kernels.predict_batch(model, X), direct, rtol=1e-12, atol=1e-12)
@@ -106,7 +106,8 @@ def test_kernel_matches_direct_formula_at_price_scale(d, lengthscale):
     direct = _direct_gram(X, Y, lengthscale)
     assert np.abs(kernels.gram_matrix(X, Y, spec) - direct).max() <= gram_tol
     assert np.abs(np.diag(kernels.gram_matrix(Y, Y, spec)) - 1.0).max() <= diag_tol
-    model = KrrModel(centers=Y, coefficients=rng.normal(size=len(Y)), kernel=spec, lam=0.0)
+    model = KrrModel(centers=Y, coefficients=rng.normal(size=len(Y)), kernel=spec, lam=0.0,
+                     clip_bound=math.inf, loo_rms=math.inf)
     assert np.abs(kernels.predict_batch(model, X) - direct @ model.coefficients).max() <= predict_tol
 
 
@@ -132,7 +133,8 @@ def test_predict_at_tiny_lengthscale_is_finite_and_within_unit_bounds(lengthscal
     rng = np.random.default_rng(13)
     centers = _price_scale_points(rng, 50, 10)
     model = KrrModel(centers=centers, coefficients=np.ones(50),
-                     kernel=KernelSpec(lengthscale=lengthscale), lam=0.0)
+                     kernel=KernelSpec(lengthscale=lengthscale), lam=0.0,
+                     clip_bound=math.inf, loo_rms=math.inf)
     for X in (centers, _price_scale_points(rng, 200, 10)):
         values = kernels.predict_batch(model, X)
         assert np.all(np.isfinite(values) & (values >= 0.0) & (values <= 1.0))
@@ -286,13 +288,6 @@ def test_nystrom_center_count_validation():
         kernels.nystrom_fit(X, y, 1e-6, SPEC, m=0, rng=np.random.default_rng(0))
 
 
-def test_clipped_predict_requires_a_clip_bound():
-    model = KrrModel(centers=np.zeros((1, 1)), coefficients=np.ones(1), kernel=SPEC, lam=0.0,
-                     clip_bound=None)
-    with pytest.raises(ValueError, match="clip bound"):
-        kernels.clipped_predict_batch(model, [[0.0]])
-
-
 def test_fits_clip_each_column_at_its_own_max_abs_target():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(30, 2))
@@ -344,7 +339,8 @@ def test_clipping_is_1_lipschitz(a, b, bound):
 
 def test_model_center_coefficient_length_mismatch():
     with pytest.raises(ValueError):
-        KrrModel(centers=np.zeros((2, 1)), coefficients=np.zeros(3), kernel=SPEC, lam=0.0)
+        KrrModel(centers=np.zeros((2, 1)), coefficients=np.zeros(3), kernel=SPEC, lam=0.0,
+                 clip_bound=1.0, loo_rms=0.0)
 
 
 def test_predict_dimension_mismatch():
