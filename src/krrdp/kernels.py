@@ -11,6 +11,12 @@ logger = logging.getLogger(__name__)
 
 _LOG2_E = 1.0 / math.log(2.0)
 
+# krr_fit warns below this many effective degrees of freedom. At repetition 0
+# of seed 7 the acceptance rows' stage fits read 7.8 and up, and those of
+# configs/quick.cfg 15.6 and up; on quick.cfg, lengthscale 1e6 gives 1.0,
+# lambda 1 gives 0.6 and lambda 1e300 gives 0.0.
+MIN_DOF = 2.0
+
 
 class FitError(RuntimeError):
     """Raised when the regression system cannot be factorized."""
@@ -129,19 +135,20 @@ def gram_matrix(X, Y, spec):
 def _solve_spd(A, b, jitter_scale):
     """Cholesky solve with a single jitter retry, logged as a warning, then FitError.
 
-    ``b`` may hold several right-hand sides as columns. Returns the solution and
-    the factor that produced it, of A or of A + jitter I: its lower triangle is L.
+    ``b`` may hold several right-hand sides as columns. Returns the solution,
+    the factor that produced it, of A or of A + jitter I (its lower triangle
+    is L), and the jitter added: 0.0 or ``jitter_scale``.
     """
     try:
         c, low = scipy.linalg.cho_factor(A, lower=True)
-        return scipy.linalg.cho_solve((c, low), b), c
+        return scipy.linalg.cho_solve((c, low), b), c, 0.0
     except np.linalg.LinAlgError:
         logger.warning("Cholesky factorization failed; retrying with jitter %.3g added "
                        "to the diagonal", jitter_scale)
     A_j = A + jitter_scale * np.eye(A.shape[0])
     try:
         c, low = scipy.linalg.cho_factor(A_j, lower=True)
-        return scipy.linalg.cho_solve((c, low), b), c
+        return scipy.linalg.cho_solve((c, low), b), c, jitter_scale
     except np.linalg.LinAlgError as exc:
         raise FitError(
             "singular regression system even after jitter; raise lambda"
@@ -184,15 +191,25 @@ def krr_fit(X, y, lam, spec):
     leave-one-out residual at x_i is alpha_i / [A^-1]_ii for the system A
     actually solved (Rifkin & Lippert, "Notes on regularized least squares",
     2007), with A^-1 from L by ``dpotri``.
+
+    The same diagonal gives the fit's effective degrees of freedom,
+    tr(G A^-1) = n - penalty tr(A^-1) for the diagonal penalty actually added,
+    jitter included (Caponnetto & De Vito, 2007); below MIN_DOF a warning is
+    logged, since the fit is then close to a constant.
     """
     X, y = _targets(X, y)
     n = X.shape[0]
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     A = gram_matrix(X, X, spec) + (lam * n) * np.eye(n)
-    alpha, c = _solve_spd(A, y, 1e-10)
+    alpha, c, jitter = _solve_spd(A, y, 1e-10)
     alpha = alpha.reshape(n, -1)
     inv_diag = np.diag(scipy.linalg.lapack.dpotri(c, lower=1, overwrite_c=1)[0])
+    dof = n - (lam * n + jitter) * inv_diag.sum()
+    if dof < MIN_DOF:
+        logger.warning("the fit has %.2g effective degrees of freedom from n = %d points "
+                       "(lengthscale %.3g, lambda %.3g), so it is close to a constant; "
+                       "lower the lengthscale or lambda", dof, n, spec.lengthscale, lam)
     return _fitted(X, alpha, alpha / inv_diag[:, None], spec, lam, y)
 
 
@@ -215,7 +232,7 @@ def nystrom_fit(X, y, lam, spec, m, rng):
     Knm[idx, np.arange(m)] = 1.0  # k(c, c) = 1, which the GEMM loses to cancellation
     Kmm = Knm[idx]
     A = Knm.T @ Knm + (lam * n) * Kmm
-    alpha, c = _solve_spd(A, Knm.T @ y, 1e-10 * max(np.trace(A) / m, 1.0))
+    alpha, c, _ = _solve_spd(A, Knm.T @ y, 1e-10 * max(np.trace(A) / m, 1.0))
     alpha = alpha.reshape(m, -1)
     residuals = y.reshape(n, -1) - Knm @ alpha
     # Knm is not needed again: its transpose is overwritten by L^-1 Knm'.

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from krrdp.bellman import (
     save_stack,
 )
 from krrdp.config import build_run_config, load_config
-from krrdp.dynamics import INNER, OUTER, GbmParams, gbm_step, sample_mu_t, substream
+from krrdp.dynamics import EVAL, INNER, OUTER, GbmParams, gbm_step, sample_mu_t, substream
 from krrdp.kernels import KernelSpec
 from krrdp.payoffs import PayoffSpec, payoff_batch
 
@@ -138,6 +139,63 @@ def test_antithetic_continuation_is_exact_on_an_odd_integrand():
     drift = (params.r - 0.5 * params.sigma ** 2) * params.dt
     exact = math.exp(-params.r * params.dt) * (np.log(X) + drift).sum(axis=1)
     np.testing.assert_allclose(cont, exact, rtol=1e-12)
+
+
+def _one_shot_continuation(X, next_fn, Z, params):
+    # the untiled formula: every next state stepped, then evaluated, at once
+    n, h, d = Z.shape
+    xn = gbm_step(X[:, None, :], params, Z, antithetic=True)
+    return math.exp(-params.r * params.dt) * next_fn(xn.reshape(-1, d)).reshape(n, 2 * h)
+
+
+TILE = bellman.CONTINUATION_TILE
+
+
+@pytest.mark.parametrize("n, M", [
+    (3 * (TILE // 100) + 5, 99),  # row tiles of 81 rows x 100 states, ragged last tile, odd M
+    (2 * (TILE // 128), 128),  # row tiles that fill the tile exactly
+    (1, 2 * TILE + 6),  # pair tiles: one row, h = TILE + 3 pairs, ragged last slice
+    (3, TILE + 1),  # pair tiles over several rows, odd M, ragged last slice of 1 pair
+])
+def test_tiled_continuation_matches_one_shot(n, M):
+    # next_fn is the kernel predict, so the tile edges fall in exp2's SIMD tails;
+    # positive coefficients keep every value away from cancellation.
+    params = make_params(d=3)
+    rng = substream(21, INNER, M)
+    X = sample_mu_t(params, 3, n, rng)
+    model = kernels.KrrModel(centers=sample_mu_t(params, 4, 37, rng),
+                             coefficients=rng.uniform(0.5, 1.5, 37),
+                             kernel=KernelSpec(lengthscale=20.0), lam=0.0,
+                             clip_bound=math.inf, loo_rms=math.inf)
+    Z = bellman.pair_shocks(rng, n, M, 3)
+    sizes = []
+
+    def predict(Xb):
+        return kernels.clipped_predict_batch(model, Xb)
+
+    def next_fn(Xb):
+        sizes.append(len(Xb))
+        return predict(Xb)
+
+    tiled = continuation(X, next_fn, Z, params)
+    assert len(sizes) > 1 and max(sizes) <= TILE and sum(sizes) == n * 2 * Z.shape[1]
+    np.testing.assert_allclose(tiled, _one_shot_continuation(X, predict, Z, params),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_price_at_origin_working_memory_does_not_grow_with_eval_m():
+    # At eval_M = 400 000 on a d = 10 stack, what price_at_origin allocates beyond
+    # its shocks and its (1, 2h) continuation matrix stays under 8 MB (71 MB untiled).
+    run = small_run(**{"market.d": "10"})
+    stack = backward_pass(run)
+    eval_M, h = 400_000, 200_000
+    tracemalloc.start()
+    try:
+        price_at_origin(stack, eval_M, substream(run.seed, EVAL))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - h * 10 * 8 - 2 * h * 8 < 8e6
 
 
 def test_generate_stage_data_targets_dominate_exercise():

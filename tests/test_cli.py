@@ -67,8 +67,11 @@ def test_price_prints_the_bound_and_warns_when_the_price_lies_below_it(tmp_path,
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("price 0.0000")
     assert any(line.startswith("lower_bound ") for line in lines)
-    [record] = caplog.records
+    # each of the 2 x 2 stage fits also reports its zero degrees of freedom
+    fits = [r for r in caplog.records if r.name == "krrdp.kernels"]
+    [record] = [r for r in caplog.records if r.name != "krrdp.kernels"]
     assert "below the policy lower bound" in record.getMessage()
+    assert len(fits) == 4 and all("effective degrees of freedom" in r.getMessage() for r in fits)
 
 
 def test_price_seed_override_changes_result(tmp_path, capsys):

@@ -201,10 +201,29 @@ def test_price_below_lower_bound_warns(caplog, tmp_path):
     path.write_text(QUICK_CFG.read_text() + "stage.lambda = 1e300\n")
     with caplog.at_level(logging.WARNING, logger="krrdp.experiments"):
         res = run_benchmark(load_config(path))
-    [record] = caplog.records
+    # each of the 2 x 2 stage fits also reports its zero degrees of freedom
+    fits = [r for r in caplog.records if r.name == "krrdp.kernels"]
+    [record] = [r for r in caplog.records if r.name != "krrdp.kernels"]
+    assert len(fits) == 4 and all("effective degrees of freedom" in r.getMessage() for r in fits)
     assert res.price_mean < 1e-6 < res.lower_bound[0]
     assert "below the policy lower bound" in record.getMessage()
     assert "stage.lambda" in record.getMessage()
+
+
+@pytest.mark.parametrize("override, warns", [
+    ("", False),  # 15.6 effective degrees of freedom or more at each stage
+    ("stage.lengthscale = 1e6\n", True),  # a Gram matrix of ones: 1.0
+    ("stage.lambda = 1e300\n", True),  # 0.0
+    ("stage.lambda = 1\n", True),  # 0.6
+])
+def test_degenerate_stage_fits_warn(override, warns, tmp_path, caplog):
+    path = tmp_path / "quick.cfg"
+    path.write_text(QUICK_CFG.read_text() + override)
+    with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
+        bellman.backward_pass(experiments.repetition(load_config(path), 0))
+    messages = [record.getMessage() for record in caplog.records]
+    assert len(messages) == (2 if warns else 0)  # one per fitted stage, t = 2 and 1
+    assert all("effective degrees of freedom" in message for message in messages)
 
 
 def test_shipped_quick_config_does_not_warn(caplog):

@@ -249,9 +249,11 @@ def test_jitter_retry_rescues_singular_gram(caplog):
     with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
         model = kernels.krr_fit(X, y, 0.0, SPEC)
     assert np.isfinite(model.coefficients).all()
-    # trace(G) / n = 1, so the retry adds 1e-10 to the diagonal
-    [record] = caplog.records
+    # trace(G) / n = 1, so the retry adds 1e-10 to the diagonal; ten copies of
+    # one point leave the fit 1 effective degree of freedom, which is reported too
+    record, degenerate = caplog.records
     assert record.levelno == logging.WARNING and "jitter 1e-10" in record.getMessage()
+    assert "has 1 effective degrees of freedom" in degenerate.getMessage()
 
 
 def test_nystrom_full_subset_matches_exact_krr():
