@@ -2,14 +2,15 @@
 
 Stage models approximate the value functions V_t for t = 1..T-1 (V_T is the
 known terminal payoff; V_0 is needed only at x0, where ``price_at_origin``
-estimates it). Beside each one, a continuation model C_t is fitted to the
-stage's continuation means on the same factor, with its leave-one-out RMS s_t;
-``policy_lower_bound`` exercises by C_t and nests a Monte Carlo continuation
-only where the payoff lies within s_t of it. Every continuation average steps
-on ``pair_shocks``' antithetic pairs. A stage draws its training states and
-its inner shocks from one counter-based substream each, keyed by (seed,
-purpose, stage), before the target blocks start, so the targets do not depend
-on the thread count.
+estimates it). Every stage fits exact KRR (``kernels.krr_fit``) on all n of
+its training states, whatever n. Beside each V_t, a continuation model C_t is
+fitted to the stage's continuation means on the same factor, with its
+leave-one-out RMS s_t; ``policy_lower_bound`` exercises by C_t and nests a
+Monte Carlo continuation only where the payoff lies within s_t of it. Every
+continuation average steps on ``pair_shocks``' antithetic pairs. A stage draws
+its training states and its inner shocks (``stage_draws``) from one
+counter-based substream each, keyed by (seed, purpose, stage), before the
+target blocks start, so the targets do not depend on the thread count.
 """
 
 import json
@@ -20,12 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .dynamics import INNER, NYSTROM, OUTER, GbmParams, gbm_step, sample_mu_t, substream
+from .dynamics import INNER, OUTER, GbmParams, gbm_step, sample_mu_t, substream
 from .kernels import KernelSpec, KrrModel
 from .payoffs import PayoffSpec, payoff_batch
-
-# Above this training size the stage fit is Nystrom KRR with this many centres.
-NYSTROM_AUTO_THRESHOLD = 2000
 
 # generate_stage_data computes its targets in this many blocks of points at
 # any thread count: BLAS rounds a row's kernel sums differently in blocks of
@@ -121,14 +119,19 @@ def continuation(X, next_fn, Z, params):
     return out
 
 
+def stage_draws(t, cfg, params, seed):
+    """Stage t's training states X ~ mu_t and their inner shocks Z, from (seed, purpose, t)."""
+    X = sample_mu_t(params, t, cfg.n, substream(seed, OUTER, t))
+    return X, pair_shocks(substream(seed, INNER, t), cfg.n, cfg.M, params.d)
+
+
 def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1, cont=None):
     """Supervised pairs (X, y) at stage t: y_i = max(exercise, MC continuation).
 
     The continuation means are written into ``cont`` when it is given, an
     (n,) buffer.
     """
-    X = sample_mu_t(params, t, cfg.n, substream(seed, OUTER, t))
-    Z = pair_shocks(substream(seed, INNER, t), cfg.n, cfg.M, params.d)
+    X, Z = stage_draws(t, cfg, params, seed)
     if cont is None:
         cont = np.empty(cfg.n)
 
@@ -157,13 +160,8 @@ def backward_pass(run, n_jobs=1):
         try:
             X, y = generate_stage_data(t, cfg, stack.stage_fn(t + 1), params, run.payoff,
                                        seed, n_jobs, cont=cont)
-            Y = np.column_stack((y, cont))
-            if cfg.n > NYSTROM_AUTO_THRESHOLD:
-                fit = kernels.nystrom_fit(X, Y, cfg.lam, cfg.kernel, NYSTROM_AUTO_THRESHOLD,
-                                          substream(seed, NYSTROM, t))
-            else:
-                fit = kernels.krr_fit(X, Y, cfg.lam, cfg.kernel)
-            stack.models[t], stack.continuations[t] = fit
+            stack.models[t], stack.continuations[t] = kernels.krr_fit(
+                X, np.column_stack((y, cont)), cfg.lam, cfg.kernel)
         except kernels.FitError as exc:
             raise kernels.FitError(f"stage {t}: {exc}") from exc
     return stack

@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# substream purposes
+# substream purposes; renumbering one changes every draw made under it
 OUTER = 0   # training inputs x_i ~ mu_t
 INNER = 1   # inner MC for continuation values
 EVAL = 2    # fresh time-0 evaluation
 LOWER = 3   # lower-bound policy simulation
 REP = 4     # per-repetition root
-# Renumbering a purpose changes every draw made under it.
-NYSTROM = 8  # Nystrom center subsample
 
 logger = logging.getLogger(__name__)
 

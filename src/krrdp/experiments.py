@@ -10,7 +10,7 @@ import numpy as np
 
 from . import bellman, oracles
 from .config import config_hash
-from .dynamics import EVAL, INNER, LOWER, OUTER, REP, sample_mu_t, substream
+from .dynamics import EVAL, LOWER, REP, substream
 from .payoffs import GEO_BASKET_PUT, payoff_batch
 
 ORACLE_TREE_STEPS_PER_DATE = 1000
@@ -73,21 +73,18 @@ def run_benchmark(cfg):
                                               substream(rep_cfg.seed, EVAL)))
     prices_arr = np.asarray(prices)
     mean = float(prices_arr.mean())
+    se = 0.0
     if cfg.repetitions > 1:
-        half = 1.96 * float(prices_arr.std(ddof=1)) / math.sqrt(cfg.repetitions)
-        ci = (mean - half, mean + half)
-    else:
-        ci = (mean, mean)
+        se = float(prices_arr.std(ddof=1)) / math.sqrt(cfg.repetitions)
     lb = bellman.policy_lower_bound(first_stack, cfg.lb_paths, substream(cfg.seed, LOWER))
-    price_se = (ci[1] - mean) / 1.96
-    if lb[0] - mean > BRACKET_Z * math.hypot(price_se, lb[1]):
+    if lb[0] - mean > BRACKET_Z * math.hypot(se, lb[1]):
         logger.warning("price %.4f (stderr %.4f) lies below the policy lower bound %.4f "
                        "(stderr %.4f) on the same stack; the stage models are degenerate, "
                        "check stage.lambda and stage.lengthscale",
-                       mean, price_se, lb[0], lb[1])
+                       mean, se, lb[0], lb[1])
     return PricingResult(
         price_mean=mean,
-        ci95=ci,
+        ci95=(mean - 1.96 * se, mean + 1.96 * se),
         per_rep_prices=prices,
         config_hash=digest,
         d=cfg.params.d,
@@ -145,19 +142,19 @@ def convergence_study(cfg, n_grid):
 def mc_error_diagnostic(cfg):
     """Standard error of stage T-1's continuation means, on repetition 0's draws.
 
-    X and the inner shocks are those ``backward_pass(repetition(cfg, 0))``
-    draws at t = T-1, so the row means of S below are the continuation values
-    of the stack behind ``run_benchmark``'s lower bound. The draws come
-    in h antithetic pairs, columns j and h + j, so the i.i.d. units are the
-    pair means P_ij. Returns sqrt(mean_i s_i^2 / h), s_i^2 the sample variance
-    of row i of P; at another sample size M' it scales by sqrt(2h / M').
+    X and the inner shocks are ``bellman.stage_draws`` at t = T-1, the ones
+    ``backward_pass(repetition(cfg, 0))`` draws there, so the row means of S
+    below are the continuation values of the stack behind ``run_benchmark``'s
+    lower bound. The draws come in h antithetic pairs, columns j and h + j, so
+    the i.i.d. units are the pair means P_ij. Returns sqrt(mean_i s_i^2 / h),
+    s_i^2 the sample variance of row i of P; at another sample size M' it
+    scales by sqrt(2h / M').
     """
     t = cfg.steps - 1
     params, stage, seed = cfg.params, cfg.stages[t], repetition(cfg, 0).seed
     if stage.M < 3:
         raise ValueError(f"need M >= 3 for a variance over two antithetic pairs, got M={stage.M}")
-    X = sample_mu_t(params, t, stage.n, substream(seed, OUTER, t))
-    Z = bellman.pair_shocks(substream(seed, INNER, t), stage.n, stage.M, params.d)
+    X, Z = bellman.stage_draws(t, stage, params, seed)
     S = bellman.continuation(X, lambda Xb: payoff_batch(cfg.payoff, Xb), Z, params)
     h = Z.shape[1]
     P = (S[:, :h] + S[:, h:]) / 2

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import tracemalloc
 from dataclasses import replace
@@ -310,13 +311,16 @@ def test_price_at_origin_averages_antithetic_pairs():
     assert price_at_origin(stack, 10, substream(1, 2)) == pytest.approx(exact, rel=1e-12)
 
 
-def test_nystrom_stage_fit_uses_fewer_centers(monkeypatch):
-    # n = 40 is above the threshold, so each stage fits Nystrom with 15 centres
-    monkeypatch.setattr(bellman, "NYSTROM_AUTO_THRESHOLD", 15)
-    run = small_run()
-    stack = backward_pass(run)
-    for t in range(1, 3):
-        assert stack.models[t].centers.shape[0] == 15
+def test_stages_above_the_old_nystrom_size_fit_exactly(caplog):
+    # quick.cfg at n = 2001: every stage fits exact KRR on all 2001 states,
+    # and its factorization needs no jitter
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "quick.cfg")
+    run = replace(cfg, stages=tuple(replace(s, n=2001, M=2) for s in cfg.stages))
+    with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
+        stack = backward_pass(run)
+    for t in range(1, run.steps):
+        assert stack.models[t].centers.shape == (2001, 2)
+    assert not any("jitter" in record.getMessage() for record in caplog.records)
 
 
 def test_policy_lower_bound_basic_properties():
@@ -424,17 +428,6 @@ def _krr_loo_rms(G, y, penalty):
     return math.sqrt(np.mean(np.square(res)))
 
 
-def _nystrom_loo_rms(K, P, y):
-    # the same for ridge regression on the features K with penalty matrix P
-    n = len(y)
-    res = []
-    for i in range(n):
-        o = np.arange(n) != i
-        a = np.linalg.solve(K[o].T @ K[o] + P, K[o].T @ y[o])
-        res.append(y[i] - K[i] @ a)
-    return math.sqrt(np.mean(np.square(res)))
-
-
 def _refit_bands(run, stack, jitter=0.0):
     # s_t by brute-force refits of each stage's continuation means, on its centres
     n, lam = run.stages[1].n, run.stages[1].lam
@@ -446,30 +439,20 @@ def _refit_bands(run, stack, jitter=0.0):
         model = stack.continuations[t]
         assert model.centers is stack.models[t].centers
         K = kernels.gram_matrix(X, model.centers, model.kernel)
-        if len(model.centers) == n:
-            bands.append(_krr_loo_rms(K, cont, n * lam + jitter))
-        else:
-            K[np.all(X[:, None] == model.centers[None], axis=2)] = 1.0
-            Kmm = kernels.gram_matrix(model.centers, model.centers, model.kernel)
-            bands.append(_nystrom_loo_rms(K, n * lam * Kmm + jitter * np.eye(len(Kmm)), cont))
+        bands.append(_krr_loo_rms(K, cont, n * lam + jitter))
     return bands
 
 
-# n = 25: an exact fit at the default threshold, Nystrom with 15 centres below it
-@pytest.mark.parametrize("threshold", [2000, 15])
-def test_continuation_band_is_the_leave_one_out_rms_of_refits(threshold, monkeypatch):
-    monkeypatch.setattr(bellman, "NYSTROM_AUTO_THRESHOLD", threshold)
+def test_continuation_band_is_the_leave_one_out_rms_of_refits():
     run = small_run(**{"stage.n": "25", "stage.lambda": "1e-2"})
     stack = backward_pass(run)
     bands = [stack.continuations[t].loo_rms for t in range(1, run.steps)]
     assert bands == pytest.approx(_refit_bands(run, stack), rel=1e-8)
 
 
-@pytest.mark.parametrize("threshold", [2000, 15])
-def test_continuation_band_comes_from_the_jittered_factor(threshold, monkeypatch, caplog):
+def test_continuation_band_comes_from_the_jittered_factor(monkeypatch, caplog):
     # Each stage's first factorization fails and the retry adds 0.5 to the diagonal:
     # s_t is the leave-one-out RMS of that jittered system, from its one factor.
-    monkeypatch.setattr(bellman, "NYSTROM_AUTO_THRESHOLD", threshold)
     run = small_run(**{"stage.n": "25", "stage.lambda": "1e-2"})
     factorizations = []
     cho_factor, solve = scipy.linalg.cho_factor, kernels._solve_spd
@@ -490,11 +473,9 @@ def test_continuation_band_comes_from_the_jittered_factor(threshold, monkeypatch
     assert bands != pytest.approx(_refit_bands(run, stack), rel=1e-3)
 
 
-@pytest.mark.parametrize("threshold", [2000, 15])
-def test_all_zero_stage_fits_zero_models(threshold, monkeypatch):
+def test_all_zero_stage_fits_zero_models():
     # strike 1e6: the call pays nothing, so every target and continuation mean
     # is 0, and each fit solves to alpha = 0 exactly, with clip bound 0
-    monkeypatch.setattr(bellman, "NYSTROM_AUTO_THRESHOLD", threshold)
     run = small_run("max_call", **{"contract.strike": "1e6", "stage.n": "25"})
     stack = backward_pass(run)
     X = substream(0, 1).uniform(50.0, 200.0, size=(50, 2))

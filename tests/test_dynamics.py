@@ -140,6 +140,5 @@ def test_substream_determinism_and_independence():
 
 
 def test_purpose_constants_are_distinct():
-    purposes = [dynamics.OUTER, dynamics.INNER, dynamics.EVAL, dynamics.LOWER, dynamics.REP,
-                dynamics.NYSTROM]
+    purposes = [dynamics.OUTER, dynamics.INNER, dynamics.EVAL, dynamics.LOWER, dynamics.REP]
     assert len(set(purposes)) == len(purposes)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from krrdp import kernels
@@ -288,6 +289,78 @@ def test_nystrom_center_count_validation():
         kernels.nystrom_fit(X, y, 1e-6, SPEC, m=6, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="center count"):
         kernels.nystrom_fit(X, y, 1e-6, SPEC, m=0, rng=np.random.default_rng(0))
+
+
+def _nystrom_loo_rms(K, P, y):
+    # ridge regression on the features K with penalty matrix P, refit on the
+    # other n - 1 points, predicting the left-out one
+    n = len(y)
+    res = []
+    for i in range(n):
+        o = np.arange(n) != i
+        a = np.linalg.solve(K[o].T @ K[o] + P, K[o].T @ y[o])
+        res.append(y[i] - K[i] @ a)
+    return math.sqrt(np.mean(np.square(res)))
+
+
+def _nystrom_problem():
+    # 25 put-like states in 2-d, two target columns, 15 centres at lambda = 1e-2
+    rng = np.random.default_rng(7)
+    X = 100.0 * np.exp(0.2 * rng.normal(size=(25, 2)))
+    payoff = np.maximum(100.0 - np.sqrt(X.prod(axis=1)), 0.0)
+    Y = np.column_stack((payoff + rng.uniform(0.0, 2.0, 25), 3.0 + 0.05 * (X[:, 0] - 100.0)))
+    return X, Y, 1e-2, KernelSpec(lengthscale=40.0 / math.sqrt(2.0)), 15
+
+
+def _refit_nystrom_bands(models, X, Y, lam, jitter=0.0):
+    # each column's loo_rms by brute-force refits on the fitted centres
+    centers, spec, n = models[0].centers, models[0].kernel, len(X)
+    K = kernels.gram_matrix(X, centers, spec)
+    K[np.all(X[:, None] == centers[None], axis=2)] = 1.0
+    P = n * lam * kernels.gram_matrix(centers, centers, spec) + jitter * np.eye(len(centers))
+    return [_nystrom_loo_rms(K, P, y) for y in Y.T]
+
+
+def test_nystrom_loo_rms_is_the_leave_one_out_rms_of_refits():
+    X, Y, lam, spec, m = _nystrom_problem()
+    models = kernels.nystrom_fit(X, Y, lam, spec, m, np.random.default_rng(0))
+    assert [model.loo_rms for model in models] == pytest.approx(
+        _refit_nystrom_bands(models, X, Y, lam), rel=1e-8)
+
+
+def test_nystrom_loo_rms_comes_from_the_jittered_factor(monkeypatch, caplog):
+    # The first factorization fails and the retry adds 0.5 to the diagonal:
+    # loo_rms is that of the jittered system, from its one factor.
+    X, Y, lam, spec, m = _nystrom_problem()
+    factorizations = []
+    cho_factor, solve = scipy.linalg.cho_factor, kernels._solve_spd
+
+    def failing_first(A, **kwargs):
+        factorizations.append(len(A))
+        if len(factorizations) == 1:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cho_factor(A, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", failing_first)
+    monkeypatch.setattr(kernels, "_solve_spd", lambda A, b, jitter: solve(A, b, 0.5))
+    with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
+        models = kernels.nystrom_fit(X, Y, lam, spec, m, np.random.default_rng(0))
+    assert factorizations == [m, m]
+    assert ["jitter 0.5" in r.getMessage() for r in caplog.records] == [True]
+    bands = [model.loo_rms for model in models]
+    assert bands == pytest.approx(_refit_nystrom_bands(models, X, Y, lam, jitter=0.5), rel=1e-8)
+    assert bands != pytest.approx(_refit_nystrom_bands(models, X, Y, lam), rel=1e-3)
+
+
+def test_nystrom_all_zero_targets_fit_zero_models():
+    # alpha = 0 solves the normal equations exactly, so every model is 0 with clip bound 0
+    X, Y, lam, spec, m = _nystrom_problem()
+    models = kernels.nystrom_fit(X, np.zeros_like(Y), lam, spec, m, np.random.default_rng(0))
+    Xq = np.random.default_rng(1).uniform(50.0, 200.0, size=(50, 2))
+    for model in models:
+        assert not model.coefficients.any()
+        assert model.clip_bound == 0.0 and model.loo_rms == 0.0
+        assert not kernels.clipped_predict_batch(model, Xq).any()
 
 
 def test_fits_clip_each_column_at_its_own_max_abs_target():
