@@ -9,8 +9,9 @@ leave-one-out RMS s_t; ``policy_lower_bound`` exercises by C_t and nests a
 Monte Carlo continuation only where the payoff lies within s_t of it. Every
 continuation average steps on ``pair_shocks``' antithetic pairs. A stage draws
 its training states and its inner shocks (``stage_draws``) from one
-counter-based substream each, keyed by (seed, purpose, stage), before the
-target blocks start, so the targets do not depend on the thread count.
+counter-based substream each, keyed by (seed, purpose, stage), before any
+continuation tile runs; the tiles depend only on the stage's size, so the
+targets do not depend on the thread count.
 """
 
 import json
@@ -24,12 +25,6 @@ from . import kernels
 from .dynamics import INNER, OUTER, GbmParams, gbm_step, sample_mu_t, substream
 from .kernels import KernelSpec, KrrModel
 from .payoffs import PayoffSpec, payoff_batch
-
-# generate_stage_data computes its targets in this many blocks of points at
-# any thread count: BLAS rounds a row's kernel sums differently in blocks of
-# different sizes, so a fixed split keeps the targets bitwise independent of
-# n_jobs.
-TARGET_BLOCKS = 8
 
 STACK_FORMAT_VERSION = 6
 
@@ -93,7 +88,7 @@ def pair_shocks(rng, n, M, d):
     return rng.standard_normal((n, (M + 1) // 2, d))
 
 
-def continuation(X, next_fn, Z, params):
+def continuation(X, next_fn, Z, params, tile_map=map):
     """The (n, 2h) matrix of discounted next values e^{-r dt} next_fn(step(X_i, +-Z_ij)).
 
     Each state X_i (a row of X, shape (n, d)) steps once per shock Z_ij and
@@ -102,19 +97,23 @@ def continuation(X, next_fn, Z, params):
     Carlo continuation values. The next states are stepped and evaluated in
     tiles of at most CONTINUATION_TILE: whole rows while their 2h states fit,
     else slices of one row's pairs, so no array but Z and the result grows
-    with n h.
+    with n h. The tiles depend only on (n, h) and write disjoint blocks, so
+    ``tile_map`` (builtin ``map`` or an executor's) may run them on any threads
+    and the result is bitwise the same.
     """
     n, h, d = Z.shape
     out = np.empty((n, 2 * h))
     pairs = out.reshape(n, 2, h)  # [i, 0, j] holds pair j's +z value, [i, 1, j] its -z one
     rows = max(1, CONTINUATION_TILE // (2 * h))
     width = min(h, CONTINUATION_TILE // 2)
-    for lo in range(0, n, rows):
-        tile = slice(lo, lo + rows)
-        for j in range(0, h, width):
-            cols = slice(j, j + width)
-            xn = gbm_step(X[tile, None, :], params, Z[tile, cols], antithetic=True)
-            pairs[tile, :, cols] = next_fn(xn.reshape(-1, d)).reshape(len(xn), 2, -1)
+
+    def fill(tile):
+        lo, j = tile
+        xn = gbm_step(X[lo:lo + rows, None, :], params, Z[lo:lo + rows, j:j + width],
+                      antithetic=True)
+        pairs[lo:lo + rows, :, j:j + width] = next_fn(xn.reshape(-1, d)).reshape(len(xn), 2, -1)
+
+    list(tile_map(fill, ((lo, j) for lo in range(0, n, rows) for j in range(0, h, width))))
     out *= math.exp(-params.r * params.dt)
     return out
 
@@ -129,20 +128,14 @@ def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1, cont=No
     """Supervised pairs (X, y) at stage t: y_i = max(exercise, MC continuation).
 
     The continuation means are written into ``cont`` when it is given, an
-    (n,) buffer.
+    (n,) buffer. The continuation tiles run on ``n_jobs`` threads.
     """
     X, Z = stage_draws(t, cfg, params, seed)
     if cont is None:
         cont = np.empty(cfg.n)
-
-    def target(Xb, Zb, cb):
-        cb[:] = continuation(Xb, next_fn, Zb, params).mean(axis=1)
-        return np.maximum(payoff_batch(payoff, Xb), cb)
-
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        blocks = pool.map(target, np.array_split(X, TARGET_BLOCKS),
-                          np.array_split(Z, TARGET_BLOCKS), np.array_split(cont, TARGET_BLOCKS))
-        return X, np.concatenate(list(blocks))
+        cont[:] = continuation(X, next_fn, Z, params, pool.map).mean(axis=1)
+    return X, np.maximum(payoff_batch(payoff, X), cont)
 
 
 def backward_pass(run, n_jobs=1):
@@ -190,8 +183,8 @@ def policy_lower_bound(stack, paths, rng):
     drawn first, as one (T, paths, d) block, then the inner shocks of each
     nested estimate, so a path's increments do not depend on the others.
     """
-    if paths < 1:
-        raise ValueError("paths must be at least 1")
+    if paths < 2:
+        raise ValueError("paths must be at least 2: a standard error needs two paths")
     params, payoff, T = stack.params, stack.payoff, stack.horizon
     steps = rng.standard_normal((T, paths, params.d))
     x = np.tile(params.x0, (paths, 1))
@@ -214,8 +207,7 @@ def policy_lower_bound(stack, paths, rng):
             x = gbm_step(x, params, steps[t, alive])
     if alive.size:
         value[alive] = payoff_batch(payoff, x) * math.exp(-params.r * T * params.dt)
-    stderr = float(value.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-    return float(value.mean()), stderr
+    return float(value.mean()), float(value.std(ddof=1) / math.sqrt(paths))
 
 
 def _exercise(stack, t, x, C, rng):

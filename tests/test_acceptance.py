@@ -8,13 +8,14 @@ pricers in ``krrdp.oracles``.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from krrdp import bellman, kernels, oracles
 from krrdp.bellman import backward_pass, generate_stage_data, price_at_origin
-from krrdp.config import build_run_config
+from krrdp.config import build_run_config, load_config
 from krrdp.dynamics import gbm_step, substream
 from krrdp.experiments import convergence_study, run_benchmark
 from krrdp.kernels import KernelSpec
@@ -23,6 +24,7 @@ from krrdp.payoffs import payoff_batch
 pytestmark = pytest.mark.acceptance
 
 SEED = 7
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # (reference mean price, tolerance) per dimension for the standard rows
 PUT_ROWS = {2: (4.63, 0.10), 5: (3.46, 0.10), 10: (2.98, 0.12)}
@@ -42,14 +44,16 @@ def row_config(d, payoff, **extra):
     return build_run_config(entries)
 
 
+# The rows priced are the shipped configs/{put,call}_d<d>.cfg files, the ones
+# README tells users to run; row_config builds the same rows with keys overridden.
 @pytest.fixture(scope="module")
 def put_results():
-    return {d: run_benchmark(row_config(d, "geo_basket_put")) for d in PUT_ROWS}
+    return {d: run_benchmark(load_config(CONFIGS / f"put_d{d}.cfg")) for d in PUT_ROWS}
 
 
 @pytest.fixture(scope="module")
 def call_results():
-    return {d: run_benchmark(row_config(d, "max_call")) for d in CALL_ROWS}
+    return {d: run_benchmark(load_config(CONFIGS / f"call_d{d}.cfg")) for d in CALL_ROWS}
 
 
 # -- criterion 1: geometric basket put benchmark rows -------------------------
@@ -80,7 +84,7 @@ def test_criterion_2_call_rows_match_reference_and_lsmc(call_results, d):
     assert abs(res.price_mean - ref) <= tol, (
         f"d={d}: mean {res.price_mean:.4f} not within {tol} of reference {ref}"
     )
-    cfg = row_config(d, "max_call")
+    cfg = load_config(CONFIGS / f"call_d{d}.cfg")
     lsmc, lsmc_se = oracles.longstaff_schwartz(
         cfg.params, cfg.payoff, cfg.steps, paths=100_000, basis_degree=2,
         rng=substream(SEED, 31),

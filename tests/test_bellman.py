@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -118,16 +119,15 @@ def test_odd_m_rounds_up_to_one_more_draw(monkeypatch):
     run = small_run(**{"stage.M": "7"})
     shapes = []
 
-    def recording(X, next_fn, Z, params):
-        S = continuation(X, next_fn, Z, params)
+    def recording(*args, **kwargs):
+        S = continuation(*args, **kwargs)
         shapes.append(S.shape)
         return S
 
     monkeypatch.setattr(bellman, "continuation", recording)
     generate_stage_data(2, run.stages[2], lambda Xb: payoff_batch(run.payoff, Xb),
                         run.params, run.payoff, run.seed)
-    assert {cols for _, cols in shapes} == {8}
-    assert sum(rows for rows, _ in shapes) == 40
+    assert shapes == [(40, 8)]  # one continuation call for the whole stage
 
 
 def test_antithetic_continuation_is_exact_on_an_odd_integrand():
@@ -184,6 +184,33 @@ def test_tiled_continuation_matches_one_shot(n, M):
                                rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("n, M, count", [
+    (300, 128, 5),  # whole-row tiles: 64 rows a tile, a ragged last tile of 44
+    (2, 20_000, 6),  # slices of one row's pairs: 10 000 pairs in slices of 4096
+])
+def test_continuation_on_a_thread_pool_matches_builtin_map(n, M, count):
+    # The tiles are the unit of thread work: running them on two threads, in
+    # whatever order they finish, writes bitwise the values builtin map does.
+    params = make_params(d=3)
+    rng = substream(23, INNER, M)
+    X = sample_mu_t(params, 3, n, rng)
+    model = kernels.KrrModel(centers=sample_mu_t(params, 4, 37, rng),
+                             coefficients=rng.uniform(-1.0, 1.0, 37),
+                             kernel=KernelSpec(lengthscale=20.0), lam=0.0,
+                             clip_bound=math.inf, loo_rms=math.inf)
+    Z = bellman.pair_shocks(rng, n, M, 3)
+    tiles = []
+
+    def next_fn(Xb):
+        tiles.append(len(Xb))
+        return kernels.clipped_predict_batch(model, Xb)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = continuation(X, next_fn, Z, params, pool.map)
+    assert len(tiles) == count
+    np.testing.assert_array_equal(pooled, continuation(X, next_fn, Z, params))
+
+
 def test_price_at_origin_working_memory_does_not_grow_with_eval_m():
     # At eval_M = 400 000 on a d = 10 stack, what price_at_origin allocates beyond
     # its shocks and its (1, 2h) continuation matrix stays under 8 MB (71 MB untiled).
@@ -229,7 +256,7 @@ def test_generate_stage_data_rejects_zero_jobs():
 
 def test_generate_stage_data_kernel_targets_bitwise_across_jobs():
     # The next function is the fitted stage T-1 model: its predict is where
-    # BLAS rounding could follow the thread blocks.
+    # BLAS rounding could follow how the work is split among threads.
     run = small_run(**{"market.d": "5", "stage.n": "300", "stage.M": "64"})
     stack = backward_pass(run)
     t = 1
@@ -328,10 +355,9 @@ def test_policy_lower_bound_basic_properties():
     stack = backward_pass(run)
     lb, se = policy_lower_bound(stack, 500, substream(run.seed, 3))
     assert lb >= 0.0 and se >= 0.0
-    lb1, se1 = policy_lower_bound(stack, 1, substream(run.seed, 3))
-    assert se1 == 0.0
-    with pytest.raises(ValueError):
-        policy_lower_bound(stack, 0, substream(run.seed, 3))
+    for paths in (1, 0):
+        with pytest.raises(ValueError, match="a standard error needs two paths"):
+            policy_lower_bound(stack, paths, substream(run.seed, 3))
 
 
 def _nested_lower_bound(stack, paths, rng):
