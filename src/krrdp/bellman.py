@@ -66,7 +66,11 @@ class ValueFunctionStack:
     models: list  # KrrModel per stage t = 1..T-1; None at t = 0
     continuations: list  # KrrModel per stage t = 1..T-1; None at t = 0
     params: GbmParams
-    horizon: int
+
+    @property
+    def horizon(self):
+        """T, the last exercise date: one model slot per date t = 0..T-1."""
+        return len(self.models)
 
     def stage_fn(self, t):
         """Batch evaluator of the stage-t value approximant (payoff at t=T), 1 <= t <= T."""
@@ -146,9 +150,9 @@ def backward_pass(run, n_jobs=1):
     """
     params, T, seed = run.params, run.steps, run.seed
     stack = ValueFunctionStack(payoff=run.payoff, models=[None] * T, continuations=[None] * T,
-                               params=params, horizon=T)
+                               params=params)
+    cfg = run.stage
     for t in range(T - 1, 0, -1):
-        cfg = run.stages[t]
         cont = np.empty(cfg.n)
         try:
             X, y = generate_stage_data(t, cfg, stack.stage_fn(t + 1), params, run.payoff,
@@ -162,6 +166,8 @@ def backward_pass(run, n_jobs=1):
 
 def price_at_origin(stack, eval_M, rng):
     """Time-0 Bellman value at x0 with a fresh eval_M-sample continuation."""
+    if eval_M < 1:
+        raise ValueError("eval_M must be at least 1")
     params = stack.params
     x0 = params.x0[None]
     Z = pair_shocks(rng, 1, eval_M, params.d)
@@ -267,6 +273,9 @@ def load_stack(path):
     header = json.loads(bytes(data["header"]).decode())
     if header["version"] != STACK_FORMAT_VERSION:
         raise ValueError(f"unsupported stack format version {header['version']}")
+    if header["T"] != len(header["stages"]) + 1:
+        raise ValueError(f"stack header says T = {header['T']} over "
+                         f"{len(header['stages'])} fitted stages; T must be stages + 1")
     params = GbmParams(d=header["d"], r=header["r"], sigma=data["sigma"],
                        rho=data["rho"], x0=data["x0"], dt=header["dt"])
     payoff = PayoffSpec(kind=header["payoff_kind"], strike=header["strike"])
@@ -284,4 +293,4 @@ def load_stack(path):
         continuations.append(replace(model, coefficients=data[f"cont_coef_{t}"],
                                      **stage["continuation"]))
     return ValueFunctionStack(payoff=payoff, models=models, continuations=continuations,
-                              params=params, horizon=header["T"])
+                              params=params)

@@ -45,9 +45,8 @@ class ConfigError(ValueError):
 class RunConfig:
     params: GbmParams
     payoff: PayoffSpec
-    maturity: float
     steps: int
-    stages: tuple
+    stage: StageConfig  # the (n, M, lambda, kernel) of every fitted date t = 1..T-1
     seed: int
     repetitions: int
     eval_M: int
@@ -58,14 +57,27 @@ class RunConfig:
             raise ConfigError("steps must be at least 1")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
-        if len(self.stages) != self.steps:
-            raise ConfigError("need one StageConfig per step")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.eval_M < 1:
             raise ConfigError("eval_M must be at least 1")
         if self.lb_paths < 2:
             raise ConfigError("lb_paths must be at least 2: a standard error needs two paths")
+
+    @property
+    def maturity(self):
+        """The last exercise date, steps * dt: the horizon the pricer steps, so the oracle's too."""
+        return self.steps * self.params.dt
+
+    @property
+    def stages(self):
+        """Read-only per-date view, ``(stage,) * steps``.
+
+        Only ``layerbench/run.py`` reads it (``jobs_checks`` and the run
+        record); ROADMAP item 1's benchmark change moves those reads to
+        ``stage`` and deletes this view.
+        """
+        return (self.stage,) * self.steps
 
 
 def default_lengthscale(d, payoff_kind):
@@ -192,9 +204,8 @@ def build_run_config(entries):
     cfg = RunConfig(
         params=params,
         payoff=payoff,
-        maturity=maturity,
         steps=steps,
-        stages=(stage,) * steps,
+        stage=stage,
         seed=take("seed", 20260823, int),
         repetitions=take("repetitions", 10, int),
         eval_M=take("eval_M", 100_000, int),

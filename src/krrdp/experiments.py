@@ -118,25 +118,25 @@ def convergence_study(cfg, n_grid):
     n, lam, M, mean_abs_err, stderr. The schedule constants CONVERGENCE_C_LAMBDA
     and CONVERGENCE_C_M keep the regularization and inner-MC biases small enough
     at desk-scale n that the error trend is visible rather than swamped by bias
-    cancellation. The grid needs at least two distinct sizes for a trend.
+    cancellation. The grid needs at least two sizes, all distinct, so the n ranks
+    have no ties.
     """
-    from scipy.stats import spearmanr  # ~1.5 s to import, so off the CLI's import path
-
     if cfg.payoff.kind != GEO_BASKET_PUT:
         raise ValueError("no reference price: the study needs the geometric put's binomial oracle")
-    if len(set(n_grid)) < 2:
+    if len(n_grid) < 2 or len(set(n_grid)) < len(n_grid):
         raise ValueError(f"need at least two distinct sample sizes, got {list(n_grid)}")
     rows = []
     for n in n_grid:
         lam, M = schedule_hyperparams(n)
-        stages = tuple(replace(s, n=int(n), M=M, lam=lam) for s in cfg.stages)
-        res = run_benchmark(replace(cfg, stages=stages))
+        res = run_benchmark(replace(cfg, stage=replace(cfg.stage, n=int(n), M=M, lam=lam)))
         errs = np.abs(np.asarray(res.per_rep_prices) - res.oracle_price)
         stderr = float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else 0.0
         rows.append({"n": int(n), "lam": lam, "M": M,
                      "mean_abs_err": float(errs.mean()), "stderr": stderr})
-    rho = float(spearmanr([r["n"] for r in rows], [r["mean_abs_err"] for r in rows]).statistic)
-    return rows, rho
+    # Spearman's rho, Pearson's on the ranks: the n are distinct, and the Monte
+    # Carlo errors tie with probability zero, so no rank is shared
+    ranks = [np.argsort(np.argsort([r[key] for r in rows])) for key in ("n", "mean_abs_err")]
+    return rows, float(np.corrcoef(ranks)[0, 1])
 
 
 def mc_error_diagnostic(cfg):
@@ -151,7 +151,7 @@ def mc_error_diagnostic(cfg):
     scales by sqrt(2h / M').
     """
     t = cfg.steps - 1
-    params, stage, seed = cfg.params, cfg.stages[t], repetition(cfg, 0).seed
+    params, stage, seed = cfg.params, cfg.stage, repetition(cfg, 0).seed
     if stage.M < 3:
         raise ValueError(f"need M >= 3 for a variance over two antithetic pairs, got M={stage.M}")
     X, Z = bellman.stage_draws(t, stage, params, seed)

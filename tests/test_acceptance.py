@@ -216,7 +216,7 @@ def test_criterion_8_dynamics_moments():
 
 def test_criterion_8_bitwise_thread_determinism():
     cfg = row_config(2, "geo_basket_put", **{"stage.n": "64", "stage.M": "32"})
-    stage = cfg.stages[4]
+    stage = cfg.stage
     next_fn = lambda X: payoff_batch(cfg.payoff, X)
     results = {}
     for jobs in (1, 4, 8):

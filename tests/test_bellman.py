@@ -93,10 +93,10 @@ def test_continuation_value_matches_manual_mc():
 
 def test_stage_targets_equal_max_of_exercise_and_continuation():
     run = small_run()
-    params, payoff, t, M = run.params, run.payoff, 1, run.stages[1].M
+    params, payoff, t, M = run.params, run.payoff, 1, run.stage.M
     stack = backward_pass(run)
     next_fn = stack.stage_fn(t + 1)
-    X, y = generate_stage_data(t, run.stages[t], next_fn, params, payoff, run.seed)
+    X, y = generate_stage_data(t, run.stage, next_fn, params, payoff, run.seed)
     np.testing.assert_array_equal(X, sample_mu_t(params, t, 40, substream(run.seed, OUTER, t)))
     half = substream(run.seed, INNER, t).standard_normal((40, M // 2, 2))
     for i in (0, 17, 39):
@@ -125,7 +125,7 @@ def test_odd_m_rounds_up_to_one_more_draw(monkeypatch):
         return S
 
     monkeypatch.setattr(bellman, "continuation", recording)
-    generate_stage_data(2, run.stages[2], lambda Xb: payoff_batch(run.payoff, Xb),
+    generate_stage_data(2, run.stage, lambda Xb: payoff_batch(run.payoff, Xb),
                         run.params, run.payoff, run.seed)
     assert shapes == [(40, 8)]  # one continuation call for the whole stage
 
@@ -229,7 +229,7 @@ def test_price_at_origin_working_memory_does_not_grow_with_eval_m():
 def test_generate_stage_data_targets_dominate_exercise():
     run = small_run()
     payoff, params = run.payoff, run.params
-    X, y = generate_stage_data(2, run.stages[2], lambda Xb: payoff_batch(payoff, Xb),
+    X, y = generate_stage_data(2, run.stage, lambda Xb: payoff_batch(payoff, Xb),
                                params, payoff, seed=run.seed)
     assert X.shape == (40, 2) and y.shape == (40,)
     assert np.all(y >= payoff_batch(payoff, X) - 1e-12)
@@ -240,8 +240,8 @@ def test_generate_stage_data_bitwise_thread_invariance(jobs):
     run = small_run()
     payoff, params = run.payoff, run.params
     next_fn = lambda Xb: payoff_batch(payoff, Xb)
-    X1, y1 = generate_stage_data(2, run.stages[2], next_fn, params, payoff, run.seed, n_jobs=1)
-    Xj, yj = generate_stage_data(2, run.stages[2], next_fn, params, payoff, run.seed, n_jobs=jobs)
+    X1, y1 = generate_stage_data(2, run.stage, next_fn, params, payoff, run.seed, n_jobs=1)
+    Xj, yj = generate_stage_data(2, run.stage, next_fn, params, payoff, run.seed, n_jobs=jobs)
     np.testing.assert_array_equal(X1, Xj)
     np.testing.assert_array_equal(y1, yj)
 
@@ -250,7 +250,7 @@ def test_generate_stage_data_rejects_zero_jobs():
     run = small_run()
     payoff = run.payoff
     with pytest.raises(ValueError):
-        generate_stage_data(2, run.stages[2], lambda Xb: payoff_batch(payoff, Xb),
+        generate_stage_data(2, run.stage, lambda Xb: payoff_batch(payoff, Xb),
                             run.params, payoff, run.seed, n_jobs=0)
 
 
@@ -260,7 +260,7 @@ def test_generate_stage_data_kernel_targets_bitwise_across_jobs():
     run = small_run(**{"market.d": "5", "stage.n": "300", "stage.M": "64"})
     stack = backward_pass(run)
     t = 1
-    results = [generate_stage_data(t, run.stages[t], stack.stage_fn(t + 1), run.params,
+    results = [generate_stage_data(t, run.stage, stack.stage_fn(t + 1), run.params,
                                    run.payoff, run.seed, n_jobs=jobs) for jobs in (1, 2, 4)]
     for X, y in results[1:]:
         np.testing.assert_array_equal(results[0][0], X)
@@ -327,6 +327,13 @@ def test_price_at_origin_dominates_immediate_exercise_and_is_deterministic():
     assert 0.0 < p1 < 100.0
 
 
+@pytest.mark.parametrize("eval_M", [0, -1])
+def test_price_at_origin_rejects_fewer_than_one_draw(eval_M):
+    stack = backward_pass(small_run())
+    with pytest.raises(ValueError, match="eval_M must be at least 1"):
+        price_at_origin(stack, eval_M, substream(1, 2))
+
+
 def test_price_at_origin_averages_antithetic_pairs():
     # sum_k log x'_k is linear in z, so ten draws in five pairs give its mean exactly
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "quick.cfg")
@@ -342,7 +349,7 @@ def test_stages_above_the_old_nystrom_size_fit_exactly(caplog):
     # quick.cfg at n = 2001: every stage fits exact KRR on all 2001 states,
     # and its factorization needs no jitter
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "quick.cfg")
-    run = replace(cfg, stages=tuple(replace(s, n=2001, M=2) for s in cfg.stages))
+    run = replace(cfg, stage=replace(cfg.stage, n=2001, M=2))
     with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
         stack = backward_pass(run)
     for t in range(1, run.steps):
@@ -456,11 +463,11 @@ def _krr_loo_rms(G, y, penalty):
 
 def _refit_bands(run, stack, jitter=0.0):
     # s_t by brute-force refits of each stage's continuation means, on its centres
-    n, lam = run.stages[1].n, run.stages[1].lam
+    n, lam = run.stage.n, run.stage.lam
     bands = []
     for t in range(1, run.steps):
         cont = np.empty(n)
-        X, _ = generate_stage_data(t, run.stages[t], stack.stage_fn(t + 1), run.params,
+        X, _ = generate_stage_data(t, run.stage, stack.stage_fn(t + 1), run.params,
                                    run.payoff, run.seed, cont=cont)
         model = stack.continuations[t]
         assert model.centers is stack.models[t].centers
@@ -513,10 +520,10 @@ def test_all_zero_stage_fits_zero_models():
     assert policy_lower_bound(stack, 50, substream(run.seed, 3)) == (0.0, 0.0)
 
 
-def _set_version(path, version):
+def _set_header(path, key, value):
     data = dict(np.load(path))
     header = json.loads(bytes(data["header"]).decode())
-    header["version"] = version
+    header[key] = value
     data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     with open(path, "wb") as f:
         np.savez(f, **data)
@@ -546,7 +553,7 @@ def test_stack_serialization_round_trip(tmp_path):
                                       kernels.clipped_predict_batch(back, X))
     assert (policy_lower_bound(loaded, 400, substream(run.seed, 3))
             == policy_lower_bound(stack, 400, substream(run.seed, 3)))
-    _set_version(path, 5)
+    _set_header(path, "version", 5)
     with pytest.raises(ValueError, match="version 5"):
         load_stack(path)
 
@@ -571,11 +578,14 @@ def test_stack_files_of_two_fits_are_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_stack_version_check(tmp_path):
-    run = small_run()
-    stack = backward_pass(run)
+@pytest.mark.parametrize("key,value,match", [
+    ("version", 99, "version"),
+    ("T", 5, "T = 5 over 2 fitted stages"),  # a 3-date stack holds stages 1 and 2
+], ids=["version", "T"])
+def test_stack_version_check(tmp_path, key, value, match):
+    stack = backward_pass(small_run())
     path = tmp_path / "stack.npz"
     save_stack(stack, path)
-    _set_version(path, 99)
-    with pytest.raises(ValueError, match="version"):
+    _set_header(path, key, value)
+    with pytest.raises(ValueError, match=match):
         load_stack(path)

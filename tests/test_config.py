@@ -35,9 +35,8 @@ def test_default_settings():
     assert cfg.params.rho[0, 1] == 0.2 and cfg.params.rho[0, 0] == 1.0
     assert cfg.maturity == 1.0 and cfg.steps == 9
     assert cfg.params.dt == pytest.approx(1.0 / 9.0)
-    assert len(cfg.stages) == 9
-    assert cfg.stages[0].n == 200
-    assert cfg.stages[0].lam == DEFAULT_LAMBDA
+    assert cfg.stage.n == 200
+    assert cfg.stage.lam == DEFAULT_LAMBDA
     assert cfg.repetitions == 10
 
 
@@ -77,9 +76,8 @@ def test_per_stage_override():
     entries = {**BASE, "stage.n": "50", "stage.M": "30", "stage.lambda": "0.01",
                "stage.lengthscale": "12.5"}
     cfg = build_run_config(entries)
-    assert len(cfg.stages) == cfg.steps
-    for s in cfg.stages:
-        assert (s.n, s.M, s.lam, s.kernel.lengthscale) == (50, 30, 0.01, 12.5)
+    s = cfg.stage
+    assert (s.n, s.M, s.lam, s.kernel.lengthscale) == (50, 30, 0.01, 12.5)
     with pytest.raises(ConfigError, match="unknown field 'stage.3.n'"):
         build_run_config({**BASE, "stage.3.n": "99"})
 

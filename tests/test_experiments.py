@@ -3,12 +3,13 @@ import logging
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from krrdp import bellman, experiments
+from krrdp import bellman, experiments, oracles
 from krrdp.config import ConfigError, build_run_config, load_config
 from krrdp.dynamics import EVAL, substream
 from krrdp.experiments import (
@@ -131,7 +132,7 @@ def test_schedule_hyperparams_hand_values():
         experiments.schedule_hyperparams(0)
 
 
-@pytest.mark.parametrize("n_grid", [[], [40], [40, 40]])
+@pytest.mark.parametrize("n_grid", [[], [40], [40, 40], [20, 40, 20]])
 def test_convergence_study_needs_two_distinct_sizes(n_grid):
     with pytest.raises(ValueError, match="two distinct sample sizes"):
         experiments.convergence_study(tiny_config(), n_grid)
@@ -147,11 +148,38 @@ def test_convergence_study_row_shape():
     assert -1.0 <= rho <= 1.0
 
 
+def test_convergence_study_rho_is_spearmans(monkeypatch):
+    # synthetic per-repetition prices over 5-point grids; scipy's spearmanr is the reference
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(5)
+    fake = lambda cfg: SimpleNamespace(per_rep_prices=list(4.0 + rng.normal(0, 0.1, 3)),
+                                       oracle_price=4.0)
+    monkeypatch.setattr(experiments, "run_benchmark", fake)
+    for _ in range(200):
+        n_grid = [int(n) for n in rng.choice(np.arange(10, 1000), 5, replace=False)]
+        rows, rho = experiments.convergence_study(tiny_config(), n_grid)
+        reference = spearmanr(n_grid, [r["mean_abs_err"] for r in rows]).statistic
+        assert rho == pytest.approx(reference, abs=1e-12)
+
+
+def test_run_config_derives_maturity_and_views_one_stage_per_date():
+    # contract.maturity sets dt; the oracle prices the pricer's horizon, steps * dt
+    cfg = tiny_config(**{"contract.maturity": "2"})
+    assert cfg.stages == (cfg.stage,) * cfg.steps  # the per-date view the benchmark reads
+    assert cfg.maturity == cfg.steps * cfg.params.dt == 2.0
+    red = oracles.geometric_reduction(cfg.params, maturity=2.0, steps=cfg.steps)
+    assert oracle_price(cfg) == oracles.crr_binomial_american(
+        red, 100.0, kind="put", tree_steps=cfg.steps * experiments.ORACLE_TREE_STEPS_PER_DATE)
+    with pytest.raises(TypeError):
+        replace(cfg, maturity=5.0)
+
+
 def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
     # The diagnostic's continuation matrix is the one behind stage T-1's targets
     # in repetition 0, whose stack gives run_benchmark's lower bound.
     cfg = tiny_config()
-    t, stage = cfg.steps - 1, cfg.stages[-1]
+    t, stage = cfg.steps - 1, cfg.stage
     calls = []
     continuation = bellman.continuation
 
