@@ -26,7 +26,7 @@ from .dynamics import INNER, OUTER, GbmParams, gbm_step, sample_mu_t, substream
 from .kernels import KernelSpec, KrrModel
 from .payoffs import PayoffSpec, payoff_batch
 
-STACK_FORMAT_VERSION = 6
+STACK_FORMAT_VERSION = 7
 
 # Next states that continuation steps and evaluates at once. On the benchmark's
 # put_d10 row (2 vCPU, two seeds, tiles 2**10 to 2**16), 2**13 gave the lowest
@@ -244,13 +244,11 @@ def save_stack(stack, path):
 
     header = {
         "version": STACK_FORMAT_VERSION,
-        "d": stack.params.d,
-        "T": stack.horizon,
         "dt": stack.params.dt,
         "r": stack.params.r,
         "payoff_kind": stack.payoff.kind,
         "strike": stack.payoff.strike,
-        "stages": [{"lengthscale": m.kernel.lengthscale, "lam": m.lam, **scalars(m),
+        "stages": [{"lengthscale": m.kernel.lengthscale, **scalars(m),
                     "continuation": scalars(c)}
                    for m, c in zip(stack.models[1:], stack.continuations[1:])],
     }
@@ -273,10 +271,7 @@ def load_stack(path):
     header = json.loads(bytes(data["header"]).decode())
     if header["version"] != STACK_FORMAT_VERSION:
         raise ValueError(f"unsupported stack format version {header['version']}")
-    if header["T"] != len(header["stages"]) + 1:
-        raise ValueError(f"stack header says T = {header['T']} over "
-                         f"{len(header['stages'])} fitted stages; T must be stages + 1")
-    params = GbmParams(d=header["d"], r=header["r"], sigma=data["sigma"],
+    params = GbmParams(d=len(data["x0"]), r=header["r"], sigma=data["sigma"],
                        rho=data["rho"], x0=data["x0"], dt=header["dt"])
     payoff = PayoffSpec(kind=header["payoff_kind"], strike=header["strike"])
     models, continuations = [None], [None]
@@ -285,7 +280,6 @@ def load_stack(path):
             centers=data[f"centers_{t}"],
             coefficients=data[f"coef_{t}"],
             kernel=KernelSpec(lengthscale=stage["lengthscale"]),
-            lam=stage["lam"],
             clip_bound=stage["clip_bound"],
             loo_rms=stage["loo_rms"],
         )

@@ -4,7 +4,7 @@ import argparse
 import sys
 
 from . import bellman, experiments
-from .config import ConfigError, load_config
+from .config import load_config
 
 
 def _add_common(p):
@@ -82,7 +82,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

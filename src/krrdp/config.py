@@ -55,8 +55,9 @@ class RunConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("steps must be at least 1")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be at least 1")
+        if self.repetitions < 2:
+            raise ConfigError(
+                "repetitions must be at least 2: a standard error needs two repetitions")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.eval_M < 1:
@@ -100,13 +101,11 @@ def default_sample_sizes(d):
 
 
 def _plain(value):
-    """``value`` as JSON data: dataclasses by their init fields, arrays and tuples as lists."""
+    """``value`` as JSON data: dataclasses by their init fields, arrays as lists."""
     if is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.init}
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
     return value
 
 

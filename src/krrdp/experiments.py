@@ -73,9 +73,7 @@ def run_benchmark(cfg):
                                               substream(rep_cfg.seed, EVAL)))
     prices_arr = np.asarray(prices)
     mean = float(prices_arr.mean())
-    se = 0.0
-    if cfg.repetitions > 1:
-        se = float(prices_arr.std(ddof=1)) / math.sqrt(cfg.repetitions)
+    se = float(prices_arr.std(ddof=1)) / math.sqrt(cfg.repetitions)
     lb = bellman.policy_lower_bound(first_stack, cfg.lb_paths, substream(cfg.seed, LOWER))
     if lb[0] - mean > BRACKET_Z * math.hypot(se, lb[1]):
         logger.warning("price %.4f (stderr %.4f) lies below the policy lower bound %.4f "
@@ -130,7 +128,7 @@ def convergence_study(cfg, n_grid):
         lam, M = schedule_hyperparams(n)
         res = run_benchmark(replace(cfg, stage=replace(cfg.stage, n=int(n), M=M, lam=lam)))
         errs = np.abs(np.asarray(res.per_rep_prices) - res.oracle_price)
-        stderr = float(errs.std(ddof=1) / math.sqrt(len(errs))) if len(errs) > 1 else 0.0
+        stderr = float(errs.std(ddof=1) / math.sqrt(len(errs)))
         rows.append({"n": int(n), "lam": lam, "M": M,
                      "mean_abs_err": float(errs.mean()), "stderr": stderr})
     # Spearman's rho, Pearson's on the ranks: the n are distinct, and the Monte

@@ -50,7 +50,6 @@ class KrrModel:
     centers: np.ndarray
     coefficients: np.ndarray
     kernel: KernelSpec
-    lam: float
     clip_bound: float
     loo_rms: float  # closed-form leave-one-out RMS error of the fit
     constant = None  # not a field; see above
@@ -164,7 +163,7 @@ def _targets(X, y):
     return X, y
 
 
-def _fitted(centers, alpha, loo_residuals, spec, lam, y):
+def _fitted(centers, alpha, loo_residuals, spec, y):
     """One model per column of y, clipped at that column's max |y_i|.
 
     ``alpha`` and ``loo_residuals`` are (m, k) and (n, k); each model carries
@@ -176,7 +175,7 @@ def _fitted(centers, alpha, loo_residuals, spec, lam, y):
         rms = np.sqrt(np.mean(loo_residuals ** 2, axis=0))
     models = tuple(
         KrrModel(centers=centers, coefficients=np.ascontiguousarray(alpha[:, j]), kernel=spec,
-                 lam=float(lam), clip_bound=float(clip[j]),
+                 clip_bound=float(clip[j]),
                  loo_rms=float(rms[j]) if np.isfinite(rms[j]) else np.inf)
         for j in range(alpha.shape[1]))
     return models[0] if y.ndim == 1 else models
@@ -210,7 +209,7 @@ def krr_fit(X, y, lam, spec):
         logger.warning("the fit has %.2g effective degrees of freedom from n = %d points "
                        "(lengthscale %.3g, lambda %.3g), so it is close to a constant; "
                        "lower the lengthscale or lambda", dof, n, spec.lengthscale, lam)
-    return _fitted(X, alpha, alpha / inv_diag[:, None], spec, lam, y)
+    return _fitted(X, alpha, alpha / inv_diag[:, None], spec, y)
 
 
 def nystrom_fit(X, y, lam, spec, m, rng):
@@ -240,7 +239,7 @@ def nystrom_fit(X, y, lam, spec, m, rng):
     leverage = np.einsum("ij,ij->j", V, V)
     with np.errstate(divide="ignore", invalid="ignore"):
         loo = residuals / (1.0 - leverage)[:, None]
-    return _fitted(centers, alpha, loo, spec, lam, y)
+    return _fitted(centers, alpha, loo, spec, y)
 
 
 def predict_batch(model, X):

@@ -130,6 +130,6 @@ def longstaff_schwartz(params, payoff, steps, paths, basis_degree, rng):
             tau[idx] = t
     disc_cash = cash * np.exp(-r * dt * tau)
     price = float(disc_cash.mean())
-    stderr = float(disc_cash.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+    stderr = float(disc_cash.std(ddof=1) / math.sqrt(paths))
     ex0 = payoff_batch(payoff, S[0][:1])[0]
     return max(price, float(ex0)), stderr

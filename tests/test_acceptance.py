@@ -128,7 +128,7 @@ def test_criterion_3_simulated_moments_match_reduction():
 
 
 def test_criterion_4_single_period_atm_call():
-    cfg = row_config(1, "max_call", **{"contract.steps": "1", "repetitions": "1"})
+    cfg = row_config(1, "max_call", **{"contract.steps": "1"})
     tic = time.perf_counter()
     stack = backward_pass(cfg)
     price = price_at_origin(stack, cfg.eval_M, substream(cfg.seed, 2))

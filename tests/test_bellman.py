@@ -3,7 +3,7 @@ import logging
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -166,7 +166,7 @@ def test_tiled_continuation_matches_one_shot(n, M):
     X = sample_mu_t(params, 3, n, rng)
     model = kernels.KrrModel(centers=sample_mu_t(params, 4, 37, rng),
                              coefficients=rng.uniform(0.5, 1.5, 37),
-                             kernel=KernelSpec(lengthscale=20.0), lam=0.0,
+                             kernel=KernelSpec(lengthscale=20.0),
                              clip_bound=math.inf, loo_rms=math.inf)
     Z = bellman.pair_shocks(rng, n, M, 3)
     sizes = []
@@ -196,7 +196,7 @@ def test_continuation_on_a_thread_pool_matches_builtin_map(n, M, count):
     X = sample_mu_t(params, 3, n, rng)
     model = kernels.KrrModel(centers=sample_mu_t(params, 4, 37, rng),
                              coefficients=rng.uniform(-1.0, 1.0, 37),
-                             kernel=KernelSpec(lengthscale=20.0), lam=0.0,
+                             kernel=KernelSpec(lengthscale=20.0),
                              clip_bound=math.inf, loo_rms=math.inf)
     Z = bellman.pair_shocks(rng, n, M, 3)
     tiles = []
@@ -578,14 +578,26 @@ def test_stack_files_of_two_fits_are_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-@pytest.mark.parametrize("key,value,match", [
-    ("version", 99, "version"),
-    ("T", 5, "T = 5 over 2 fitted stages"),  # a 3-date stack holds stages 1 and 2
-], ids=["version", "T"])
-def test_stack_version_check(tmp_path, key, value, match):
+def test_stack_file_stores_each_fact_once(tmp_path):
+    # T is the stage count plus one and d the length of x0, so the header holds
+    # neither; lambda only says how a stage was fitted, so no model holds it.
     stack = backward_pass(small_run())
     path = tmp_path / "stack.npz"
     save_stack(stack, path)
-    _set_header(path, key, value)
-    with pytest.raises(ValueError, match=match):
+    header = json.loads(bytes(np.load(path)["header"]).decode())
+    assert set(header) == {"version", "dt", "r", "payoff_kind", "strike", "stages"}
+    for stage in header["stages"]:
+        assert set(stage) == {"lengthscale", "clip_bound", "loo_rms", "continuation"}
+    assert [f.name for f in fields(kernels.KrrModel)] == [
+        "centers", "coefficients", "kernel", "clip_bound", "loo_rms"]
+    assert load_stack(path).params.d == stack.params.d
+
+
+@pytest.mark.parametrize("version", [99, 6], ids=["version", "format_6"])
+def test_stack_version_check(tmp_path, version):
+    stack = backward_pass(small_run())
+    path = tmp_path / "stack.npz"
+    save_stack(stack, path)
+    _set_header(path, "version", version)
+    with pytest.raises(ValueError, match=f"unsupported stack format version {version}"):
         load_stack(path)

@@ -45,7 +45,7 @@ def test_price_command(cfg_path, capsys):
 
 def test_price_writes_csv(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    path.write_text(CFG_TEXT.replace("repetitions = 2\n", "repetitions = 1\n"))
+    path.write_text(CFG_TEXT)
     out_file = tmp_path / "row.csv"
     assert main(["price", "--config", str(path), "--out", str(out_file)]) == 0
     assert out_file.read_text().startswith("d,payoff,price,")

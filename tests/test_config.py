@@ -124,6 +124,7 @@ def test_per_stage_override():
         ({**BASE, "oracle": "true"}, "unknown field 'oracle'"),
         ({**BASE, "seed": "-1"}, "seed"),
         ({**BASE, "lb_paths": "1"}, "a standard error needs two paths"),
+        ({**BASE, "repetitions": "1"}, "a standard error needs two repetitions"),
     ],
 )
 def test_invalid_configs_raise(entries, match):

@@ -106,9 +106,9 @@ STAGE_SETTINGS = st.fixed_dictionaries(
 @given(STAGE_SETTINGS)
 @example({"contract.payoff": "geo_basket_put", "stage.lengthscale": "1e300"})
 def test_config_that_builds_prices_finitely(stage_settings):
-    # quick.cfg's sizes: 3 dates, one repetition
+    # quick.cfg's sizes: 3 dates, two repetitions
     try:
-        cfg = tiny_config(**{"repetitions": "1", **stage_settings})
+        cfg = tiny_config(**{"repetitions": "2", **stage_settings})
     except ConfigError:
         return
     try:

@@ -63,7 +63,7 @@ def test_predict_with_more_centers_than_a_block_holds():
     rng = np.random.default_rng(6)
     centers = rng.normal(size=(2**16 + 5, 2))
     model = KrrModel(centers=centers, coefficients=rng.normal(size=len(centers)),
-                     kernel=SPEC, lam=0.0, clip_bound=math.inf, loo_rms=math.inf)
+                     kernel=SPEC, clip_bound=math.inf, loo_rms=math.inf)
     X = rng.normal(size=(3, 2))
     direct = kernels.gram_matrix(X, centers, SPEC) @ model.coefficients
     np.testing.assert_allclose(kernels.predict_batch(model, X), direct, rtol=1e-12, atol=1e-12)
@@ -107,7 +107,7 @@ def test_kernel_matches_direct_formula_at_price_scale(d, lengthscale):
     direct = _direct_gram(X, Y, lengthscale)
     assert np.abs(kernels.gram_matrix(X, Y, spec) - direct).max() <= gram_tol
     assert np.abs(np.diag(kernels.gram_matrix(Y, Y, spec)) - 1.0).max() <= diag_tol
-    model = KrrModel(centers=Y, coefficients=rng.normal(size=len(Y)), kernel=spec, lam=0.0,
+    model = KrrModel(centers=Y, coefficients=rng.normal(size=len(Y)), kernel=spec,
                      clip_bound=math.inf, loo_rms=math.inf)
     assert np.abs(kernels.predict_batch(model, X) - direct @ model.coefficients).max() <= predict_tol
 
@@ -134,7 +134,7 @@ def test_predict_at_tiny_lengthscale_is_finite_and_within_unit_bounds(lengthscal
     rng = np.random.default_rng(13)
     centers = _price_scale_points(rng, 50, 10)
     model = KrrModel(centers=centers, coefficients=np.ones(50),
-                     kernel=KernelSpec(lengthscale=lengthscale), lam=0.0,
+                     kernel=KernelSpec(lengthscale=lengthscale),
                      clip_bound=math.inf, loo_rms=math.inf)
     for X in (centers, _price_scale_points(rng, 200, 10)):
         values = kernels.predict_batch(model, X)
@@ -414,7 +414,7 @@ def test_clipping_is_1_lipschitz(a, b, bound):
 
 def test_model_center_coefficient_length_mismatch():
     with pytest.raises(ValueError):
-        KrrModel(centers=np.zeros((2, 1)), coefficients=np.zeros(3), kernel=SPEC, lam=0.0,
+        KrrModel(centers=np.zeros((2, 1)), coefficients=np.zeros(3), kernel=SPEC,
                  clip_bound=1.0, loo_rms=0.0)
 
 
