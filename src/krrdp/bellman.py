@@ -128,22 +128,23 @@ def stage_draws(t, cfg, params, seed):
     return X, pair_shocks(substream(seed, INNER, t), cfg.n, cfg.M, params.d)
 
 
-def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1, cont=None):
-    """Supervised pairs (X, y) at stage t: y_i = max(exercise, MC continuation).
+def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1):
+    """Stage t's training states X (n, d) and targets Y (n, 2).
 
-    The continuation means are written into ``cont`` when it is given, an
-    (n,) buffer. The continuation tiles run on ``n_jobs`` threads.
+    ``Y[:, 1]`` holds the MC continuation means and ``Y[:, 0]`` the Bellman
+    targets max(exercise, continuation). The continuation tiles run on
+    ``n_jobs`` threads.
     """
     X, Z = stage_draws(t, cfg, params, seed)
-    if cont is None:
-        cont = np.empty(cfg.n)
+    Y = np.empty((cfg.n, 2))
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        cont[:] = continuation(X, next_fn, Z, params, pool.map).mean(axis=1)
-    return X, np.maximum(payoff_batch(payoff, X), cont)
+        Y[:, 1] = continuation(X, next_fn, Z, params, pool.map).mean(axis=1)
+    Y[:, 0] = np.maximum(payoff_batch(payoff, X), Y[:, 1])
+    return X, Y
 
 
 def backward_pass(run, n_jobs=1):
-    """Fit V_t and C_t for t = T-1 down to 1, one fit of the columns [y, cont] each.
+    """Fit V_t and C_t for t = T-1 down to 1, one fit of the stage's two target columns each.
 
     Stage 0 is the point mass at x0, so it has no regression: its one value,
     the time-0 price, is ``price_at_origin``'s fresh evaluation at x0.
@@ -153,12 +154,10 @@ def backward_pass(run, n_jobs=1):
                                params=params)
     cfg = run.stage
     for t in range(T - 1, 0, -1):
-        cont = np.empty(cfg.n)
         try:
-            X, y = generate_stage_data(t, cfg, stack.stage_fn(t + 1), params, run.payoff,
-                                       seed, n_jobs, cont=cont)
-            stack.models[t], stack.continuations[t] = kernels.krr_fit(
-                X, np.column_stack((y, cont)), cfg.lam, cfg.kernel)
+            X, Y = generate_stage_data(t, cfg, stack.stage_fn(t + 1), params, run.payoff,
+                                       seed, n_jobs)
+            stack.models[t], stack.continuations[t] = kernels.krr_fit(X, Y, cfg.lam, cfg.kernel)
         except kernels.FitError as exc:
             raise kernels.FitError(f"stage {t}: {exc}") from exc
     return stack

@@ -27,7 +27,7 @@ def cmd_price(args):
         print(f"oracle {res.oracle_price:.4f}")
     print(f"lower_bound {res.lower_bound[0]:.4f} (stderr {res.lower_bound[1]:.4f})")
     if args.out:
-        experiments.emit_results([res], args.out)
+        experiments.emit_results(res, args.out)
         print(f"wrote {args.out}")
     return 0
 

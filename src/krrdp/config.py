@@ -139,13 +139,17 @@ def _floats(value):
 
 
 def build_run_config(entries):
-    """Assemble and validate a RunConfig from a flat key-value mapping."""
+    """Assemble and validate a RunConfig from a flat key-value mapping.
+
+    Each value is read as its ``str``, like a config file's text: 0.3 and
+    "0.3" set the same field, and 40.7 for an integer field is an error.
+    """
     entries = dict(entries)
 
     def take(key, default=..., cast=str):
         if key in entries:
             try:
-                return cast(entries.pop(key))
+                return cast(str(entries.pop(key)))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"field '{key}': {exc}") from exc
         if default is ...:

@@ -163,17 +163,11 @@ _CSV_COLUMNS = ("d", "payoff", "price", "ci_low", "ci_high", "oracle",
                 "lower_bound", "seconds", "seed", "config_hash")
 
 
-def _result_row(res):
-    return [res.d, res.payoff_kind, res.price_mean, res.ci95[0], res.ci95[1],
-            res.oracle_price, res.lower_bound[0],
-            res.seconds, res.seed, res.config_hash]
-
-
-def emit_results(results, path):
-    """Write a CSV header and one row per result."""
-    if not results:
-        raise ValueError("no results to emit")
+def emit_results(res, path):
+    """Write a CSV header and the result's row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        writer.writerows(_result_row(res) for res in results)
+        writer.writerow([res.d, res.payoff_kind, res.price_mean, res.ci95[0], res.ci95[1],
+                         res.oracle_price, res.lower_bound[0],
+                         res.seconds, res.seed, res.config_hash])

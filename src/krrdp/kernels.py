@@ -61,8 +61,8 @@ class KrrModel:
 
 def _as_matrix(X):
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    if X.ndim != 2:
+        raise ValueError(f"a batch of states must be an (n, d) matrix, got shape {X.shape}")
     return X
 
 
@@ -155,22 +155,22 @@ def _solve_spd(A, b, jitter_scale):
 
 
 def _targets(X, y):
-    """X as an (n, d) matrix and y as (n,) or (n, k) floats, checked to match."""
+    """X as an (n, d) matrix and y as (n, k) floats, checked to match."""
     X = _as_matrix(X)
     y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] < 1 or y.ndim not in (1, 2) or y.shape[0] != X.shape[0]:
-        raise ValueError("X and y must be nonempty and of equal length")
+    if y.ndim != 2 or X.shape[0] < 1 or y.shape[0] != X.shape[0]:
+        raise ValueError(f"X must be (n, d) and the targets (n, k), with n >= 1; "
+                         f"got shapes {X.shape} and {y.shape}")
     return X, y
 
 
 def _fitted(centers, alpha, loo_residuals, spec, y):
-    """One model per column of y, clipped at that column's max |y_i|.
+    """A tuple of k models, one per column of the (n, k) y, clipped at that column's max |y_i|.
 
     ``alpha`` and ``loo_residuals`` are (m, k) and (n, k); each model carries
-    its leave-one-out RMS, inf if not finite. A 1-d ``y`` gives the model
-    itself, an (n, k) ``y`` a tuple of k models.
+    its leave-one-out RMS, inf if not finite.
     """
-    clip = np.max(np.abs(y.reshape(len(y), -1)), axis=0)
+    clip = np.max(np.abs(y), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         rms = np.sqrt(np.mean(loo_residuals ** 2, axis=0))
     models = tuple(
@@ -178,13 +178,13 @@ def _fitted(centers, alpha, loo_residuals, spec, y):
                  clip_bound=float(clip[j]),
                  loo_rms=float(rms[j]) if np.isfinite(rms[j]) else np.inf)
         for j in range(alpha.shape[1]))
-    return models[0] if y.ndim == 1 else models
+    return models
 
 
 def krr_fit(X, y, lam, spec):
     """Solve (G + lambda*n*I) alpha = y; the n-scaling matches a (1/n) empirical risk.
 
-    ``y`` is (n,) or (n, k): k target columns share one Gram matrix and one
+    ``y`` is (n, k): its k target columns share one Gram matrix and one
     factor, and give a tuple of k models, each clipped at its own column's
     max |y_i|. Each model's ``loo_rms`` comes from that factor: the
     leave-one-out residual at x_i is alpha_i / [A^-1]_ii for the system A
@@ -202,7 +202,6 @@ def krr_fit(X, y, lam, spec):
         raise ValueError("lambda must be nonnegative")
     A = gram_matrix(X, X, spec) + (lam * n) * np.eye(n)
     alpha, c, jitter = _solve_spd(A, y, 1e-10)
-    alpha = alpha.reshape(n, -1)
     inv_diag = np.diag(scipy.linalg.lapack.dpotri(c, lower=1, overwrite_c=1)[0])
     dof = n - (lam * n + jitter) * inv_diag.sum()
     if dof < MIN_DOF:
@@ -216,10 +215,10 @@ def nystrom_fit(X, y, lam, spec, m, rng):
     """Nystrom KRR with m uniformly subsampled centers.
 
     Solves the normal equations (Knm' Knm + lambda*n*Kmm) alpha = Knm' y; like
-    ``krr_fit``, ``y`` may hold k target columns. Each model's ``loo_rms`` is
-    that of ridge regression on the fixed features k(x, c_j): the residual at
-    x_i over 1 - H_ii, with H_ii = ||L^-1 k_i||^2 for row k_i of Knm and the
-    factor L of the system actually solved.
+    ``krr_fit``, it takes (n, k) targets and returns k models. Each model's
+    ``loo_rms`` is that of ridge regression on the fixed features k(x, c_j):
+    the residual at x_i over 1 - H_ii, with H_ii = ||L^-1 k_i||^2 for row k_i
+    of Knm and the factor L of the system actually solved.
     """
     X, y = _targets(X, y)
     n = X.shape[0]
@@ -232,8 +231,7 @@ def nystrom_fit(X, y, lam, spec, m, rng):
     Kmm = Knm[idx]
     A = Knm.T @ Knm + (lam * n) * Kmm
     alpha, c, _ = _solve_spd(A, Knm.T @ y, 1e-10 * max(np.trace(A) / m, 1.0))
-    alpha = alpha.reshape(m, -1)
-    residuals = y.reshape(n, -1) - Knm @ alpha
+    residuals = y - Knm @ alpha
     # Knm is not needed again: its transpose is overwritten by L^-1 Knm'.
     V = scipy.linalg.solve_triangular(c, Knm.T, lower=True, overwrite_b=True)
     leverage = np.einsum("ij,ij->j", V, V)

@@ -24,8 +24,8 @@ class PayoffSpec:
 
 def payoff_batch(spec, X):
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    if X.ndim != 2:
+        raise ValueError(f"a batch of states must be an (n, d) matrix, got shape {X.shape}")
     if spec.kind == MAX_CALL:
         return np.maximum(X.max(axis=1) - spec.strike, 0.0)
     gmean = np.exp(np.mean(np.log(X), axis=1))

@@ -96,14 +96,28 @@ def test_stage_targets_equal_max_of_exercise_and_continuation():
     params, payoff, t, M = run.params, run.payoff, 1, run.stage.M
     stack = backward_pass(run)
     next_fn = stack.stage_fn(t + 1)
-    X, y = generate_stage_data(t, run.stage, next_fn, params, payoff, run.seed)
+    X, Y = generate_stage_data(t, run.stage, next_fn, params, payoff, run.seed)
     np.testing.assert_array_equal(X, sample_mu_t(params, t, 40, substream(run.seed, OUTER, t)))
+    assert Y.shape == (40, 2)
     half = substream(run.seed, INNER, t).standard_normal((40, M // 2, 2))
     for i in (0, 17, 39):
         z = np.concatenate([half[i], -half[i]])
         cont = math.exp(-0.05 / 3.0) * next_fn(gbm_step(X[i], params, z)).mean()
         exercise = payoff_batch(payoff, X[i:i + 1])[0]
-        assert y[i] == pytest.approx(max(exercise, cont), rel=1e-12, abs=1e-12)
+        assert Y[i, 0] == pytest.approx(max(exercise, cont), rel=1e-12, abs=1e-12)
+        assert Y[i, 1] == pytest.approx(cont, rel=1e-12, abs=1e-12)
+
+
+def test_backward_pass_fits_both_models_to_the_stage_targets():
+    # V_t and C_t are the two models of one krr_fit of the stage's (X, Y)
+    run = small_run()
+    stack = backward_pass(run)
+    for t in range(1, run.steps):
+        X, Y = generate_stage_data(t, run.stage, stack.stage_fn(t + 1), run.params,
+                                   run.payoff, run.seed)
+        value, cont = kernels.krr_fit(X, Y, run.stage.lam, run.stage.kernel)
+        np.testing.assert_array_equal(stack.models[t].coefficients, value.coefficients)
+        np.testing.assert_array_equal(stack.continuations[t].coefficients, cont.coefficients)
 
 
 @pytest.mark.parametrize("M", [8, 7])
@@ -229,10 +243,10 @@ def test_price_at_origin_working_memory_does_not_grow_with_eval_m():
 def test_generate_stage_data_targets_dominate_exercise():
     run = small_run()
     payoff, params = run.payoff, run.params
-    X, y = generate_stage_data(2, run.stage, lambda Xb: payoff_batch(payoff, Xb),
+    X, Y = generate_stage_data(2, run.stage, lambda Xb: payoff_batch(payoff, Xb),
                                params, payoff, seed=run.seed)
-    assert X.shape == (40, 2) and y.shape == (40,)
-    assert np.all(y >= payoff_batch(payoff, X) - 1e-12)
+    assert X.shape == (40, 2) and Y.shape == (40, 2)
+    assert np.all(Y[:, 0] >= payoff_batch(payoff, X) - 1e-12)
 
 
 @pytest.mark.parametrize("jobs", [4, 8])
@@ -466,13 +480,12 @@ def _refit_bands(run, stack, jitter=0.0):
     n, lam = run.stage.n, run.stage.lam
     bands = []
     for t in range(1, run.steps):
-        cont = np.empty(n)
-        X, _ = generate_stage_data(t, run.stage, stack.stage_fn(t + 1), run.params,
-                                   run.payoff, run.seed, cont=cont)
+        X, Y = generate_stage_data(t, run.stage, stack.stage_fn(t + 1), run.params,
+                                   run.payoff, run.seed)
         model = stack.continuations[t]
         assert model.centers is stack.models[t].centers
         K = kernels.gram_matrix(X, model.centers, model.kernel)
-        bands.append(_krr_loo_rms(K, cont, n * lam + jitter))
+        bands.append(_krr_loo_rms(K, Y[:, 1], n * lam + jitter))
     return bands
 
 

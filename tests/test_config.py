@@ -138,6 +138,17 @@ def test_build_does_not_mutate_input():
     assert entries == BASE
 
 
+def test_mapping_values_are_read_as_their_text():
+    # a library caller's numbers set the same fields as a file's text
+    typed = {"market.d": 3, "contract.payoff": "max_call", "contract.strike": 110,
+             "market.sigma": 0.25, "stage.n": 50, "stage.lambda": 0.01}
+    text = {"market.d": "3", "contract.payoff": "max_call", "contract.strike": "110",
+            "market.sigma": "0.25", "stage.n": "50", "stage.lambda": "0.01"}
+    assert config_hash(build_run_config(typed)) == config_hash(build_run_config(text))
+    with pytest.raises(ConfigError, match=r"field 'stage\.n'"):
+        build_run_config({**BASE, "stage.n": 40.7})
+
+
 # One changed value for every settable key, each away from BASE's value or default.
 CHANGED = {
     "market.d": "3",

@@ -193,10 +193,11 @@ def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
     monkeypatch.undo()
     [(X, S)] = calls
     payoff_fn = lambda Xb: payoff_batch(cfg.payoff, Xb)
-    X_run, y_run = bellman.generate_stage_data(t, stage, payoff_fn, cfg.params, cfg.payoff,
+    X_run, Y_run = bellman.generate_stage_data(t, stage, payoff_fn, cfg.params, cfg.payoff,
                                                experiments.repetition(cfg, 0).seed)
     np.testing.assert_array_equal(X, X_run)
-    np.testing.assert_array_equal(np.maximum(payoff_fn(X), S.mean(axis=1)), y_run)
+    np.testing.assert_array_equal(S.mean(axis=1), Y_run[:, 1])
+    np.testing.assert_array_equal(np.maximum(payoff_fn(X), S.mean(axis=1)), Y_run[:, 0])
     assert S.shape == (stage.n, stage.M)
     # the i.i.d. units are the means of the M / 2 antithetic pairs (j, M/2 + j)
     p = stage.M // 2
@@ -260,7 +261,7 @@ def test_shipped_quick_config_does_not_warn(caplog):
 def test_emit_results_csv_round_trip(tmp_path):
     res = run_benchmark(tiny_config(lb_paths="200"))
     path = tmp_path / "rows.csv"
-    emit_results([res], path)
+    emit_results(res, path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
@@ -276,13 +277,8 @@ def test_emit_results_csv_round_trip(tmp_path):
 def test_emit_results_leaves_a_missing_oracle_empty(tmp_path):
     res = run_benchmark(tiny_config("max_call", lb_paths="200"))
     path = tmp_path / "rows.csv"
-    emit_results([res], path)
+    emit_results(res, path)
     with open(path) as fh:
         [row] = list(csv.DictReader(fh))
     assert (row["d"], row["payoff"], row["oracle"]) == ("2", "max_call", "")
     assert float(row["lower_bound"]) == res.lower_bound[0] > 0
-
-
-def test_emit_results_validation(tmp_path):
-    with pytest.raises(ValueError):
-        emit_results([], tmp_path / "x.csv")

@@ -44,18 +44,17 @@ def test_predict_chunking_consistent():
     # 5000 rows against 1000 centres: 65-row blocks of 2**16 kernel values,
     # 76 whole blocks and a ragged 60-row tail
     rng = np.random.default_rng(2)
-    model = kernels.krr_fit(rng.normal(size=(1000, 2)), rng.normal(size=1000), 1e-3, SPEC)
+    [model] = kernels.krr_fit(rng.normal(size=(1000, 2)), rng.normal(size=(1000, 1)), 1e-3, SPEC)
     X = rng.normal(size=(5000, 2))
     direct = kernels.gram_matrix(X, model.centers, SPEC) @ model.coefficients
     np.testing.assert_allclose(kernels.predict_batch(model, X), direct, rtol=1e-12, atol=1e-12)
 
 
-def test_predict_empty_and_1d_batches():
-    model = kernels.krr_fit([[0.0], [1.0], [3.0]], [1.0, 2.0, 0.5], 1e-3, SPEC)
+def test_predict_takes_empty_batches_and_rejects_1d_ones():
+    [model] = kernels.krr_fit([[0.0], [1.0], [3.0]], [[1.0], [2.0], [0.5]], 1e-3, SPEC)
     assert kernels.predict_batch(model, np.empty((0, 1))).shape == (0,)
-    x = np.array([0.5, 2.0, -4.0])
-    np.testing.assert_array_equal(kernels.predict_batch(model, x),
-                                  kernels.predict_batch(model, x[:, None]))
+    with pytest.raises(ValueError, match=r"\(n, d\)"):
+        kernels.predict_batch(model, np.array([0.5, 2.0, -4.0]))
 
 
 def test_predict_with_more_centers_than_a_block_holds():
@@ -120,7 +119,7 @@ def test_smallest_lengthscale_gives_identity_gram_without_overflow_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         G = kernels.gram_matrix(X, X, spec)
-        model = kernels.krr_fit(X, X[:, 0], 0.0, spec)
+        [model] = kernels.krr_fit(X, X[:, :1], 0.0, spec)
     np.testing.assert_array_equal(G[~np.eye(5, dtype=bool)], 0.0)
     np.testing.assert_array_equal(model.coefficients, X[:, 0])  # the fitted Gram is I
 
@@ -147,7 +146,7 @@ def test_fitted_gram_diagonal_is_exactly_one(d, lengthscale, monkeypatch, caplog
     # The lifted GEMM loses ||x - x||^2 = 0 to cancellation on price-scale points;
     # far below their spacing the fitted Gram matrix and Kmm are the identity.
     rng = np.random.default_rng([12, d])
-    X, y = _price_scale_points(rng, 400, d), rng.normal(size=400)
+    X, y = _price_scale_points(rng, 400, d), rng.normal(size=(400, 1))
     spec = KernelSpec(lengthscale=lengthscale)
     systems = []
     solve = kernels._solve_spd
@@ -183,16 +182,18 @@ def test_gram_matrix_is_psd_and_unit_diagonal():
     assert np.linalg.eigvalsh(G).min() >= -1e-10
 
 
-def test_gram_matrix_accepts_1d_inputs():
-    G = kernels.gram_matrix(np.array([0.0, 5.0]), np.array([0.0]), SPEC)
-    assert G.shape == (2, 1)
-    assert G[0, 0] == pytest.approx(1.0)
+def test_gram_matrix_rejects_1d_inputs():
+    # [0, 5] is one 2-d state or two 1-d ones: only the (n, d) layout says which
+    for X, Y in (([0.0, 5.0], [[0.0]]), ([[0.0], [5.0]], [0.0])):
+        with pytest.raises(ValueError, match=r"\(n, d\)"):
+            kernels.gram_matrix(np.array(X), np.array(Y), SPEC)
+    G = kernels.gram_matrix(np.array([[0.0], [5.0]]), np.array([[0.0]]), SPEC)
     assert G[1, 0] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
 def test_krr_single_point_hand_solution():
     # G = [[1]]; (1 + lam*1) alpha = y  ->  alpha = 3 / 1.5 = 2
-    model = kernels.krr_fit([[2.0]], [3.0], 0.5, SPEC)
+    [model] = kernels.krr_fit([[2.0]], [[3.0]], 0.5, SPEC)
     assert model.coefficients[0] == pytest.approx(2.0, rel=1e-12)
     near, far = kernels.predict_batch(model, [[2.0], [200.0]])
     assert near == pytest.approx(2.0, rel=1e-12)
@@ -204,7 +205,7 @@ def test_krr_interpolation_limit():
     rng = np.random.default_rng(2)
     X = rng.uniform(-3, 3, size=(8, 2))
     y = rng.normal(size=8)
-    model = kernels.krr_fit(X, y, 0.0, KernelSpec(lengthscale=1.0))
+    [model] = kernels.krr_fit(X, y[:, None], 0.0, KernelSpec(lengthscale=1.0))
     np.testing.assert_allclose(kernels.predict_batch(model, X), y, atol=1e-8)
 
 
@@ -213,7 +214,7 @@ def test_krr_normal_equation_residual():
     X = rng.normal(size=(50, 4))
     y = rng.normal(size=50)
     lam = 1e-6
-    model = kernels.krr_fit(X, y, lam, KernelSpec(lengthscale=2.0))
+    [model] = kernels.krr_fit(X, y[:, None], lam, KernelSpec(lengthscale=2.0))
     G = kernels.gram_matrix(X, X, model.kernel)
     resid = (G + lam * 50 * np.eye(50)) @ model.coefficients - y
     assert np.linalg.norm(resid) / np.linalg.norm(y) <= 1e-8
@@ -222,19 +223,21 @@ def test_krr_normal_equation_residual():
 def test_krr_regularization_shrinks_predictions():
     X = np.array([[0.0], [1.0]])
     y = np.array([1.0, 1.0])
-    small = kernels.krr_fit(X, y, 1e-8, SPEC)
-    big = kernels.krr_fit(X, y, 10.0, SPEC)
+    [small] = kernels.krr_fit(X, y[:, None], 1e-8, SPEC)
+    [big] = kernels.krr_fit(X, y[:, None], 10.0, SPEC)
     at_half = [[0.5]]
     assert abs(kernels.predict_batch(big, at_half)[0]) < abs(kernels.predict_batch(small, at_half)[0])
 
 
 def test_krr_input_validation():
     with pytest.raises(ValueError):
-        kernels.krr_fit(np.empty((0, 1)), np.empty(0), 1e-6, SPEC)
+        kernels.krr_fit(np.empty((0, 1)), np.empty((0, 1)), 1e-6, SPEC)
     with pytest.raises(ValueError):
-        kernels.krr_fit([[1.0]], [1.0, 2.0], 1e-6, SPEC)
+        kernels.krr_fit([[1.0]], [[1.0], [2.0]], 1e-6, SPEC)
     with pytest.raises(ValueError):
-        kernels.krr_fit([[1.0]], [1.0], -1.0, SPEC)
+        kernels.krr_fit([[1.0]], [[1.0]], -1.0, SPEC)
+    with pytest.raises(ValueError, match=r"\(n, k\)"):
+        kernels.krr_fit([[1.0]], [1.0], 1e-6, SPEC)
 
 
 def test_unfactorizable_system_raises_fit_error():
@@ -246,9 +249,9 @@ def test_jitter_retry_rescues_singular_gram(caplog):
     # duplicated points with lambda = 0: the Gram matrix is exactly singular,
     # the jitter retry must still produce a usable (non-FitError) solve
     X = np.zeros((10, 1))
-    y = np.ones(10)
+    y = np.ones((10, 1))
     with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
-        model = kernels.krr_fit(X, y, 0.0, SPEC)
+        [model] = kernels.krr_fit(X, y, 0.0, SPEC)
     assert np.isfinite(model.coefficients).all()
     # trace(G) / n = 1, so the retry adds 1e-10 to the diagonal; ten copies of
     # one point leave the fit 1 effective degree of freedom, which is reported too
@@ -260,10 +263,10 @@ def test_jitter_retry_rescues_singular_gram(caplog):
 def test_nystrom_full_subset_matches_exact_krr():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(60, 3))
-    y = rng.normal(size=60)
+    y = rng.normal(size=(60, 1))
     spec = KernelSpec(lengthscale=2.0)
-    exact = kernels.krr_fit(X, y, 1e-4, spec)
-    nys = kernels.nystrom_fit(X, y, 1e-4, spec, m=60, rng=np.random.default_rng(0))
+    [exact] = kernels.krr_fit(X, y, 1e-4, spec)
+    [nys] = kernels.nystrom_fit(X, y, 1e-4, spec, m=60, rng=np.random.default_rng(0))
     Xq = rng.normal(size=(20, 3))
     np.testing.assert_allclose(
         kernels.predict_batch(nys, Xq), kernels.predict_batch(exact, Xq), atol=1e-6
@@ -275,8 +278,8 @@ def test_nystrom_close_to_exact_with_many_centers():
     X = rng.normal(size=(200, 2))
     y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=200)
     spec = KernelSpec(lengthscale=1.0)
-    exact = kernels.krr_fit(X, y, 1e-3, spec)
-    nys = kernels.nystrom_fit(X, y, 1e-3, spec, m=150, rng=np.random.default_rng(1))
+    [exact] = kernels.krr_fit(X, y[:, None], 1e-3, spec)
+    [nys] = kernels.nystrom_fit(X, y[:, None], 1e-3, spec, m=150, rng=np.random.default_rng(1))
     Xq = rng.normal(size=(50, 2))
     err = np.max(np.abs(kernels.predict_batch(nys, Xq) - kernels.predict_batch(exact, Xq)))
     assert err < 5e-2
@@ -284,7 +287,7 @@ def test_nystrom_close_to_exact_with_many_centers():
 
 def test_nystrom_center_count_validation():
     X = np.zeros((5, 1))
-    y = np.zeros(5)
+    y = np.zeros((5, 1))
     with pytest.raises(ValueError, match="center count"):
         kernels.nystrom_fit(X, y, 1e-6, SPEC, m=6, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="center count"):
@@ -372,7 +375,8 @@ def test_fits_clip_each_column_at_its_own_max_abs_target():
     nys = kernels.nystrom_fit(X, Y, 1e-3, SPEC, m=10, rng=np.random.default_rng(0))
     for models in (exact, nys):
         assert [model.clip_bound for model in models] == bounds
-    assert kernels.krr_fit(X, Y[:, 1], 1e-3, SPEC).clip_bound == bounds[1]
+    [one] = kernels.krr_fit(X, Y[:, 1:2], 1e-3, SPEC)
+    assert one.clip_bound == bounds[1]
 
 
 @given(st.integers(1, 8).flatmap(lambda n: st.one_of(
@@ -380,7 +384,8 @@ def test_fits_clip_each_column_at_its_own_max_abs_target():
        st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=10))
 def test_clipped_predictions_of_a_fit_lie_within_its_max_abs_target(targets, queries):
     # centres 3 apart on [0, 21]; the queries fall among them and far outside
-    model = kernels.krr_fit(3.0 * np.arange(len(targets))[:, None], targets, 1e-3, SPEC)
+    [model] = kernels.krr_fit(3.0 * np.arange(len(targets))[:, None],
+                              np.array(targets)[:, None], 1e-3, SPEC)
     Xq = np.array(queries)[:, None]
     bound = max(abs(v) for v in targets)
     clipped = kernels.clipped_predict_batch(model, Xq)
@@ -390,7 +395,8 @@ def test_clipped_predictions_of_a_fit_lie_within_its_max_abs_target(targets, que
 
 
 def test_clipping_respects_bound():
-    model = replace(kernels.krr_fit([[0.0]], [10.0], 0.0, SPEC), clip_bound=2.0)
+    [fit] = kernels.krr_fit([[0.0]], [[10.0]], 0.0, SPEC)
+    model = replace(fit, clip_bound=2.0)
     assert kernels.clipped_predict_batch(model, [[0.0]])[0] == 2.0
     assert kernels.predict_batch(model, [[0.0]])[0] == pytest.approx(10.0, rel=1e-10)
 
@@ -419,6 +425,6 @@ def test_model_center_coefficient_length_mismatch():
 
 
 def test_predict_dimension_mismatch():
-    model = kernels.krr_fit(np.zeros((3, 2)), np.ones(3), 1e-6, SPEC)
+    [model] = kernels.krr_fit(np.zeros((3, 2)), np.ones((3, 1)), 1e-6, SPEC)
     with pytest.raises(ValueError, match="dimension mismatch"):
         kernels.predict_batch(model, np.zeros((4, 3)))

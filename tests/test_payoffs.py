@@ -38,7 +38,9 @@ def test_payoff_batch_matches_scalar():
         assert np.all(batch >= 0)
 
 
-def test_payoff_batch_accepts_1d_for_single_asset():
-    out = payoff_batch(PayoffSpec(kind="max_call", strike=100.0), np.array([90.0, 110.0]))
-    np.testing.assert_allclose(out, [0.0, 10.0])
+def test_payoff_batch_rejects_1d_input():
+    # [90, 110] is one 2-asset state or two 1-asset ones: only the (n, d) layout says which
+    with pytest.raises(ValueError, match=r"\(n, d\)"):
+        payoff_batch(PUT, np.array([90.0, 110.0]))
+    assert payoff_batch(PUT, [[90.0, 110.0]])[0] == pytest.approx(0.501256, abs=1e-6)
 
