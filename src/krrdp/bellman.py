@@ -164,14 +164,11 @@ def backward_pass(run, n_jobs=1):
 
 
 def price_at_origin(stack, eval_M, rng):
-    """Time-0 Bellman value at x0 with a fresh eval_M-sample continuation."""
+    """Time-0 Bellman value at x0: the payoff or a fresh eval_M-draw continuation, the larger."""
     if eval_M < 1:
         raise ValueError("eval_M must be at least 1")
-    params = stack.params
-    x0 = params.x0[None]
-    Z = pair_shocks(rng, 1, eval_M, params.d)
-    cont = continuation(x0, stack.stage_fn(1), Z, params).mean()
-    return float(max(payoff_batch(stack.payoff, x0)[0], cont))
+    x0 = stack.params.x0[None]
+    return float(max(payoff_batch(stack.payoff, x0)[0], _nested(stack, 0, x0, eval_M, rng)[0]))
 
 
 def policy_lower_bound(stack, paths, rng):
@@ -186,7 +183,8 @@ def policy_lower_bound(stack, paths, rng):
     no C_0 (Broadie & Cao, Quant. Finance 2008). Every path starts at x0, so
     one nested estimate there decides t = 0 for all. The outer increments are
     drawn first, as one (T, paths, d) block, then the inner shocks of each
-    nested estimate, so a path's increments do not depend on the others.
+    nested estimate, so a path's increments do not depend on the others. Once
+    every path has stopped, the walk goes on over 0 rows, which draw nothing.
     """
     if paths < 2:
         raise ValueError("paths must be at least 2: a standard error needs two paths")
@@ -196,22 +194,17 @@ def policy_lower_bound(stack, paths, rng):
     alive = np.arange(paths)
     value = np.zeros(paths)
     for t in range(T):
-        if alive.size == 0:
-            break
         C = payoff_batch(payoff, x)
         stop = C > 0
         if t == 0:  # every path sits at x0, so one decision there serves all
-            stop[:] = stop[0] and C[0] >= _nested(stack, 0, x[:1], rng)[0]
+            stop[:] = stop[0] and C[0] >= _nested(stack, 0, x[:1], LOWER_BOUND_INNER_M, rng)[0]
         else:
             stop[stop] = _exercise(stack, t, x[stop], C[stop], rng)
         value[alive[stop]] = C[stop] * math.exp(-params.r * t * params.dt)
         keep = ~stop
         alive = alive[keep]
-        x = x[keep]
-        if alive.size:
-            x = gbm_step(x, params, steps[t, alive])
-    if alive.size:
-        value[alive] = payoff_batch(payoff, x) * math.exp(-params.r * T * params.dt)
+        x = gbm_step(x[keep], params, steps[t, alive])
+    value[alive] = payoff_batch(payoff, x) * math.exp(-params.r * T * params.dt)
     return float(value.mean()), float(value.std(ddof=1) / math.sqrt(paths))
 
 
@@ -220,14 +213,13 @@ def _exercise(stack, t, x, C, rng):
     model = stack.continuations[t]
     gap = C - kernels.clipped_predict_batch(model, x)
     stop, nest = gap >= 0, np.abs(gap) < model.loo_rms
-    if nest.any():
-        stop[nest] = C[nest] >= _nested(stack, t, x[nest], rng)
+    stop[nest] = C[nest] >= _nested(stack, t, x[nest], LOWER_BOUND_INNER_M, rng)
     return stop
 
 
-def _nested(stack, t, x, rng):
-    """LOWER_BOUND_INNER_M-draw continuation values at date t of the states x (rows)."""
-    Z = pair_shocks(rng, len(x), LOWER_BOUND_INNER_M, stack.params.d)
+def _nested(stack, t, x, M, rng):
+    """M-draw continuation values at date t of the states x (rows), through V_{t+1}."""
+    Z = pair_shocks(rng, len(x), M, stack.params.d)
     return continuation(x, stack.stage_fn(t + 1), Z, stack.params).mean(axis=1)
 
 

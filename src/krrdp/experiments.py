@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bellman, oracles
-from .config import config_hash
+from .config import RunConfig, config_hash
 from .dynamics import EVAL, LOWER, REP, substream
 from .payoffs import GEO_BASKET_PUT, payoff_batch
 
@@ -27,10 +27,7 @@ class PricingResult:
     price_mean: float
     ci95: tuple
     per_rep_prices: list
-    config_hash: str
-    d: int
-    payoff_kind: str
-    seed: int
+    config: RunConfig
     seconds: float  # mean backward-pass wall clock per repetition
     lower_bound: tuple  # (value, stderr) of the policy lower bound on repetition 0's stack
     oracle_price: float | None = None
@@ -58,7 +55,6 @@ def oracle_price(cfg):
 def run_benchmark(cfg):
     """Repetitions x (backward pass + fresh origin evaluation), aggregated, and
     the policy lower bound on repetition 0's stack, checked against the price."""
-    digest = config_hash(cfg)
     prices = []
     fit_seconds = 0.0
     first_stack = None
@@ -84,10 +80,7 @@ def run_benchmark(cfg):
         price_mean=mean,
         ci95=(mean - 1.96 * se, mean + 1.96 * se),
         per_rep_prices=prices,
-        config_hash=digest,
-        d=cfg.params.d,
-        payoff_kind=cfg.payoff.kind,
-        seed=cfg.seed,
+        config=cfg,
         seconds=fit_seconds / cfg.repetitions,
         lower_bound=lb,
         oracle_price=oracle_price(cfg),
@@ -148,6 +141,8 @@ def mc_error_diagnostic(cfg):
     s_i^2 the sample variance of row i of P; at another sample size M' it
     scales by sqrt(2h / M').
     """
+    if cfg.steps < 2:
+        raise ValueError(f"need contract.steps >= 2 for a fitted stage, got {cfg.steps}")
     t = cfg.steps - 1
     params, stage, seed = cfg.params, cfg.stage, repetition(cfg, 0).seed
     if stage.M < 3:
@@ -165,9 +160,10 @@ _CSV_COLUMNS = ("d", "payoff", "price", "ci_low", "ci_high", "oracle",
 
 def emit_results(res, path):
     """Write a CSV header and the result's row."""
+    cfg = res.config
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        writer.writerow([res.d, res.payoff_kind, res.price_mean, res.ci95[0], res.ci95[1],
+        writer.writerow([cfg.params.d, cfg.payoff.kind, res.price_mean, res.ci95[0], res.ci95[1],
                          res.oracle_price, res.lower_bound[0],
-                         res.seconds, res.seed, res.config_hash])
+                         res.seconds, cfg.seed, config_hash(cfg)])

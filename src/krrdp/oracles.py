@@ -66,6 +66,9 @@ def crr_binomial_american(red, strike, kind="put", tree_steps=4000, european=Fal
     dt = red.maturity / tree_steps
     u = math.exp(red.sigma_hat * math.sqrt(dt))
     dn = 1.0 / u
+    if not u > dn:
+        raise ValueError(f"up and down moves coincide at tree step {dt:.3g}; "
+                         "lengthen the maturity or reduce tree_steps")
     p = (math.exp((red.r - red.q) * dt) - dn) / (u - dn)
     if not 0.0 < p < 1.0:
         raise ValueError(f"risk-neutral probability {p:.4f} outside (0,1); increase tree_steps")

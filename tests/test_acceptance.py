@@ -234,12 +234,12 @@ def test_criterion_9_lower_bound_below_price(put_results, call_results):
     for res in list(put_results.values()) + list(call_results.values()):
         lb, se = res.lower_bound
         assert lb <= res.price_mean + 2 * se, (
-            f"d={res.d} {res.payoff_kind}: lower bound {lb:.4f} exceeds "
+            f"d={res.config.params.d} {res.config.payoff.kind}: lower bound {lb:.4f} exceeds "
             f"price {res.price_mean:.4f} + 2 stderr"
         )
     for res in put_results.values():
         lb, se = res.lower_bound
         assert lb <= res.oracle_price + 2 * se, (
-            f"d={res.d}: lower bound {lb:.4f} exceeds oracle "
+            f"d={res.config.params.d}: lower bound {lb:.4f} exceeds oracle "
             f"{res.oracle_price:.4f} + 2 stderr"
         )

@@ -455,13 +455,18 @@ def test_policy_lower_bound_evaluates_no_next_state_at_t0_at_the_money(monkeypat
     assert calls and all(t >= 2 for t, _ in calls)
 
 
-def test_policy_lower_bound_decides_t0_once_in_the_money(monkeypatch):
-    # strike 110: x0 is in the money, and one nested estimate at x0 decides for every path
-    run = small_run(**{"contract.strike": "110"})
+@pytest.mark.parametrize("strike", ["110", "200"])
+def test_policy_lower_bound_decides_t0_once_in_the_money(strike, monkeypatch):
+    # x0 is in the money, and one nested estimate at x0 decides for every path;
+    # at strike 200 every path stops at t = 0, so the later dates walk no paths
+    run = small_run(**{"contract.strike": strike})
     stack = backward_pass(run)
     calls = _recording_stage_fns(stack, monkeypatch)
-    policy_lower_bound(stack, 300, substream(run.seed, 3))
+    value, stderr = policy_lower_bound(stack, 300, substream(run.seed, 3))
     assert [call for call in calls if call[0] == 1] == [(1, bellman.LOWER_BOUND_INNER_M)]
+    if strike == "200":
+        payoff = payoff_batch(run.payoff, run.params.x0[None])[0]
+        assert abs(value - payoff) < 1e-9 and stderr < 1e-9
 
 
 def _krr_loo_rms(G, y, penalty):

@@ -96,6 +96,23 @@ def test_mc_diag_command(cfg_path, capsys):
     assert capsys.readouterr().out.startswith("inner_mc_se ")
 
 
+def test_mc_diag_rejects_a_single_date(tmp_path, capsys):
+    path = tmp_path / "one.cfg"
+    path.write_text(CFG_TEXT.replace("contract.steps = 3", "contract.steps = 1"))
+    assert main(["mc-diag", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "contract.steps" in err
+
+
+def test_price_reports_an_oracle_tree_too_fine_to_move(tmp_path, capsys):
+    # at maturity 1e-300 the binomial tree's up and down moves round to one
+    path = tmp_path / "short.cfg"
+    path.write_text(CFG_TEXT + "contract.maturity = 1e-300\n")
+    assert main(["price", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "up and down moves coincide" in err
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("converge", "--n-grid", "x"),
 ], ids=["n-grid-not-int"])

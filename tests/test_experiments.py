@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from krrdp import bellman, experiments, oracles
-from krrdp.config import ConfigError, build_run_config, load_config
+from krrdp.config import ConfigError, build_run_config, config_hash, load_config
 from krrdp.dynamics import EVAL, substream
 from krrdp.experiments import (
     emit_results,
@@ -41,19 +41,19 @@ def tiny_config(payoff="geo_basket_put", **overrides):
 def test_run_benchmark_populates_result():
     cfg = tiny_config()
     res = run_benchmark(cfg)
-    assert res.d == 2 and res.payoff_kind == "geo_basket_put"
+    assert res.config is cfg
+    assert res.config.params.d == 2 and res.config.payoff.kind == "geo_basket_put"
     assert len(res.per_rep_prices) == 3
     assert res.ci95[0] <= res.price_mean <= res.ci95[1]
     assert res.seconds > 0
     assert res.oracle_price is not None and 0 < res.oracle_price < 100
-    assert len(res.config_hash) == 16
 
 
 def test_run_benchmark_is_deterministic():
     r1 = run_benchmark(tiny_config())
     r2 = run_benchmark(tiny_config())
     assert r1.per_rep_prices == r2.per_rep_prices
-    assert r1.config_hash == r2.config_hash
+    assert config_hash(r1.config) == config_hash(r2.config)
 
 
 def test_repetitions_use_distinct_seeds():
@@ -217,6 +217,12 @@ def test_mc_diagnostic_rejects_m_below_three():
         mc_error_diagnostic(tiny_config(**{"stage.M": "2"}))
 
 
+def test_mc_diagnostic_rejects_a_contract_with_no_fitted_stage():
+    # one date: backward_pass fits no stage, so there are no inner draws to measure
+    with pytest.raises(ValueError, match="contract.steps >= 2"):
+        mc_error_diagnostic(tiny_config(**{"contract.steps": "1"}))
+
+
 QUICK_CFG = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
 
 
@@ -259,7 +265,8 @@ def test_shipped_quick_config_does_not_warn(caplog):
 
 
 def test_emit_results_csv_round_trip(tmp_path):
-    res = run_benchmark(tiny_config(lb_paths="200"))
+    cfg = tiny_config(lb_paths="200")
+    res = run_benchmark(cfg)
     path = tmp_path / "rows.csv"
     emit_results(res, path)
     with open(path) as fh:
@@ -270,8 +277,9 @@ def test_emit_results_csv_round_trip(tmp_path):
     assert float(row["ci_low"]) == res.ci95[0]
     assert float(row["oracle"]) == res.oracle_price
     assert float(row["lower_bound"]) == res.lower_bound[0]
-    assert int(row["seed"]) == res.seed
-    assert row["config_hash"] == res.config_hash
+    assert (int(row["d"]), row["payoff"]) == (2, "geo_basket_put")
+    assert int(row["seed"]) == cfg.seed
+    assert row["config_hash"] == config_hash(cfg)
 
 
 def test_emit_results_leaves_a_missing_oracle_empty(tmp_path):

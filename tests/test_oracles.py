@@ -98,6 +98,13 @@ def test_binomial_validation():
         crr_binomial_american(red, 100.0, tree_steps=100)
 
 
+def test_binomial_rejects_a_tree_step_too_short_to_move():
+    # u = exp(sigma_hat sqrt(dt)) rounds to 1 = 1/u, so u - d would divide by zero
+    red = Reduced1d(s0=100.0, sigma_hat=0.2, q=0.0, r=0.05, maturity=1e-300, steps=9)
+    with pytest.raises(ValueError, match="up and down moves coincide"):
+        crr_binomial_american(red, 100.0, tree_steps=9000)
+
+
 def test_lsmc_single_date_matches_european():
     # with one exercise date LSMC is plain MC of the European payoff
     params = make_params(d=1, rho_off=0.0, dt=1.0)
