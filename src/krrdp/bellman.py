@@ -3,21 +3,20 @@
 Stage models approximate the value functions V_t for t = 1..T-1 (V_T is the
 known terminal payoff; V_0 is needed only at x0, where ``price_at_origin``
 estimates it). Every stage fits exact KRR (``kernels.krr_fit``) on all n of
-its training states, whatever n. Beside each V_t, a continuation model C_t is
-fitted to the stage's continuation means on the same factor, with its
-leave-one-out RMS s_t; ``policy_lower_bound`` exercises by C_t and nests a
-Monte Carlo continuation only where the payoff lies within s_t of it. Every
-continuation average steps on ``pair_shocks``' antithetic pairs. A stage draws
-its training states and its inner shocks (``stage_draws``) from one
-counter-based substream each, keyed by (seed, purpose, stage), before any
-continuation tile runs; the tiles depend only on the stage's size, so the
-targets do not depend on the thread count.
+its training states, whatever n: one model whose two outputs are V_t, fitted
+to the Bellman targets, and the continuation C_t, fitted to the stage's
+continuation means, with C_t's leave-one-out RMS s_t. ``policy_lower_bound``
+exercises by C_t and nests a Monte Carlo continuation only where the payoff
+lies within s_t of it. Every continuation average steps on ``pair_shocks``'
+antithetic pairs. A stage draws its training states and its inner shocks
+(``stage_draws``) from one counter-based substream each, keyed by (seed,
+purpose, stage), before any continuation tile runs; the tiles depend only on
+the stage's size, so the targets do not depend on the thread count.
 """
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,11 @@ from .dynamics import INNER, OUTER, GbmParams, gbm_step, sample_mu_t, substream
 from .kernels import KernelSpec, KrrModel
 from .payoffs import PayoffSpec, payoff_batch
 
-STACK_FORMAT_VERSION = 7
+STACK_FORMAT_VERSION = 8
+
+# The columns of a stage's targets Y, and so the outputs of its model: V_t's
+# Bellman targets and C_t's continuation means.
+VALUE, CONTINUATION = 0, 1
 
 # Next states that continuation steps and evaluates at once. On the benchmark's
 # put_d10 row (2 vCPU, two seeds, tiles 2**10 to 2**16), 2**13 gave the lowest
@@ -56,15 +59,14 @@ class StageConfig:
 
 @dataclass
 class ValueFunctionStack:
-    """Stage models V_1..V_{T-1} and the terminal payoff V_T; t = 0 has no model.
+    """Stage models for t = 1..T-1 and the terminal payoff V_T; t = 0 has no model.
 
-    ``continuations[t]`` is the clipped continuation model C_t, fitted on V_t's
-    centres and factor; its ``loo_rms`` is s_t.
+    ``models[t]`` has two outputs: V_t at VALUE and the continuation C_t at
+    CONTINUATION, whose ``loo_rms`` is s_t.
     """
 
     payoff: PayoffSpec
     models: list  # KrrModel per stage t = 1..T-1; None at t = 0
-    continuations: list  # KrrModel per stage t = 1..T-1; None at t = 0
     params: GbmParams
 
     @property
@@ -79,7 +81,7 @@ class ValueFunctionStack:
         if t == self.horizon:
             return lambda X: payoff_batch(self.payoff, X)
         model = self.models[t]
-        return lambda X: kernels.clipped_predict_batch(model, X)
+        return lambda X: kernels.clipped_predict_batch(model, X, VALUE)
 
 
 def pair_shocks(rng, n, M, d):
@@ -131,33 +133,32 @@ def stage_draws(t, cfg, params, seed):
 def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1):
     """Stage t's training states X (n, d) and targets Y (n, 2).
 
-    ``Y[:, 1]`` holds the MC continuation means and ``Y[:, 0]`` the Bellman
-    targets max(exercise, continuation). The continuation tiles run on
-    ``n_jobs`` threads.
+    ``Y[:, CONTINUATION]`` holds the MC continuation means and ``Y[:, VALUE]``
+    the Bellman targets max(exercise, continuation). The continuation tiles
+    run on ``n_jobs`` threads.
     """
     X, Z = stage_draws(t, cfg, params, seed)
     Y = np.empty((cfg.n, 2))
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        Y[:, 1] = continuation(X, next_fn, Z, params, pool.map).mean(axis=1)
-    Y[:, 0] = np.maximum(payoff_batch(payoff, X), Y[:, 1])
+        Y[:, CONTINUATION] = continuation(X, next_fn, Z, params, pool.map).mean(axis=1)
+    Y[:, VALUE] = np.maximum(payoff_batch(payoff, X), Y[:, CONTINUATION])
     return X, Y
 
 
 def backward_pass(run, n_jobs=1):
-    """Fit V_t and C_t for t = T-1 down to 1, one fit of the stage's two target columns each.
+    """Fit V_t and C_t for t = T-1 down to 1: one model of the stage's two target columns each.
 
     Stage 0 is the point mass at x0, so it has no regression: its one value,
     the time-0 price, is ``price_at_origin``'s fresh evaluation at x0.
     """
     params, T, seed = run.params, run.steps, run.seed
-    stack = ValueFunctionStack(payoff=run.payoff, models=[None] * T, continuations=[None] * T,
-                               params=params)
+    stack = ValueFunctionStack(payoff=run.payoff, models=[None] * T, params=params)
     cfg = run.stage
     for t in range(T - 1, 0, -1):
         try:
             X, Y = generate_stage_data(t, cfg, stack.stage_fn(t + 1), params, run.payoff,
                                        seed, n_jobs)
-            stack.models[t], stack.continuations[t] = kernels.krr_fit(X, Y, cfg.lam, cfg.kernel)
+            stack.models[t] = kernels.krr_fit(X, Y, cfg.lam, cfg.kernel)
         except kernels.FitError as exc:
             raise kernels.FitError(f"stage {t}: {exc}") from exc
     return stack
@@ -210,9 +211,9 @@ def policy_lower_bound(stack, paths, rng):
 
 def _exercise(stack, t, x, C, rng):
     """Whether the states x (rows), with positive payoffs C, exercise at date t >= 1."""
-    model = stack.continuations[t]
-    gap = C - kernels.clipped_predict_batch(model, x)
-    stop, nest = gap >= 0, np.abs(gap) < model.loo_rms
+    model = stack.models[t]
+    gap = C - kernels.clipped_predict_batch(model, x, CONTINUATION)
+    stop, nest = gap >= 0, np.abs(gap) < model.loo_rms[CONTINUATION]
     stop[nest] = C[nest] >= _nested(stack, t, x[nest], LOWER_BOUND_INNER_M, rng)
     return stop
 
@@ -226,56 +227,45 @@ def _nested(stack, t, x, M, rng):
 def save_stack(stack, path):
     """Versioned npz serialization of stages 1..T-1; predictions round-trip bit-exactly.
 
-    Each stage holds V_t and C_t, which share V_t's centres: the scalars in the
-    JSON header, the arrays beside it. Writes exactly ``path``: ``np.savez``
-    given a file name would append ``.npz``.
+    Plain arrays only, so ``np.load`` reads it without pickle: the run's
+    scalars and vectors, then row t - 1 of ``lengthscale``, ``clip_bound``
+    and ``loo_rms`` and the arrays ``centers_t`` and ``coef_t`` (2, m) for
+    stage t. Writes exactly ``path``: ``np.savez`` given a file name would
+    append ``.npz``.
     """
-    def scalars(m):
-        return {"clip_bound": m.clip_bound, "loo_rms": m.loo_rms}
-
-    header = {
+    params, models = stack.params, stack.models[1:]
+    arrays = {
         "version": STACK_FORMAT_VERSION,
-        "dt": stack.params.dt,
-        "r": stack.params.r,
+        "dt": params.dt,
+        "r": params.r,
+        "sigma": params.sigma,
+        "rho": params.rho,
+        "x0": params.x0,
         "payoff_kind": stack.payoff.kind,
         "strike": stack.payoff.strike,
-        "stages": [{"lengthscale": m.kernel.lengthscale, **scalars(m),
-                    "continuation": scalars(c)}
-                   for m, c in zip(stack.models[1:], stack.continuations[1:])],
+        "lengthscale": np.array([m.kernel.lengthscale for m in models], dtype=np.float64),
+        "clip_bound": np.reshape([m.clip_bound for m in models], (-1, 2)),
+        "loo_rms": np.reshape([m.loo_rms for m in models], (-1, 2)),
     }
-    arrays = {
-        "header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        "sigma": stack.params.sigma,
-        "rho": stack.params.rho,
-        "x0": stack.params.x0,
-    }
-    for t, (m, c) in enumerate(zip(stack.models[1:], stack.continuations[1:]), start=1):
+    for t, m in enumerate(models, start=1):
         arrays[f"centers_{t}"] = m.centers
         arrays[f"coef_{t}"] = m.coefficients
-        arrays[f"cont_coef_{t}"] = c.coefficients
     with open(path, "wb") as f:
         np.savez(f, **arrays)
 
 
 def load_stack(path):
-    data = np.load(path)
-    header = json.loads(bytes(data["header"]).decode())
-    if header["version"] != STACK_FORMAT_VERSION:
-        raise ValueError(f"unsupported stack format version {header['version']}")
-    params = GbmParams(d=len(data["x0"]), r=header["r"], sigma=data["sigma"],
-                       rho=data["rho"], x0=data["x0"], dt=header["dt"])
-    payoff = PayoffSpec(kind=header["payoff_kind"], strike=header["strike"])
-    models, continuations = [None], [None]
-    for t, stage in enumerate(header["stages"], start=1):
-        model = KrrModel(
-            centers=data[f"centers_{t}"],
-            coefficients=data[f"coef_{t}"],
-            kernel=KernelSpec(lengthscale=stage["lengthscale"]),
-            clip_bound=stage["clip_bound"],
-            loo_rms=stage["loo_rms"],
-        )
-        models.append(model)
-        continuations.append(replace(model, coefficients=data[f"cont_coef_{t}"],
-                                     **stage["continuation"]))
-    return ValueFunctionStack(payoff=payoff, models=models, continuations=continuations,
-                              params=params)
+    with np.load(path) as data:
+        # formats 7 and older kept the version in a JSON header, not an array
+        version = int(data["version"]) if "version" in data else "7 or older"
+        if version != STACK_FORMAT_VERSION:
+            raise ValueError(f"unsupported stack format version {version}")
+        params = GbmParams(d=len(data["x0"]), r=float(data["r"]), sigma=data["sigma"],
+                           rho=data["rho"], x0=data["x0"], dt=float(data["dt"]))
+        payoff = PayoffSpec(kind=str(data["payoff_kind"]), strike=float(data["strike"]))
+        stages = zip(data["lengthscale"], data["clip_bound"], data["loo_rms"])
+        models = [None] + [
+            KrrModel(centers=data[f"centers_{t}"], coefficients=data[f"coef_{t}"],
+                     kernel=KernelSpec(lengthscale=float(ls)), clip_bound=clip, loo_rms=rms)
+            for t, (ls, clip, rms) in enumerate(stages, start=1)]
+    return ValueFunctionStack(payoff=payoff, models=models, params=params)

@@ -54,7 +54,11 @@ def oracle_price(cfg):
 
 def run_benchmark(cfg):
     """Repetitions x (backward pass + fresh origin evaluation), aggregated, and
-    the policy lower bound on repetition 0's stack, checked against the price."""
+    the policy lower bound on repetition 0's stack, checked against the price.
+
+    The oracle is priced first, so a contract it cannot price fails before
+    any backward pass runs."""
+    reference = oracle_price(cfg)
     prices = []
     fit_seconds = 0.0
     first_stack = None
@@ -83,7 +87,7 @@ def run_benchmark(cfg):
         config=cfg,
         seconds=fit_seconds / cfg.repetitions,
         lower_bound=lb,
-        oracle_price=oracle_price(cfg),
+        oracle_price=reference,
     )
 
 

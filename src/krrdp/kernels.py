@@ -27,11 +27,8 @@ class KernelSpec:
     """Isotropic RBF kernel; k(x, x) = 1 so the boundedness constant is 1."""
 
     lengthscale: float
-    kind: str = "rbf"
 
     def __post_init__(self):
-        if self.kind != "rbf":
-            raise ValueError(f"unsupported kernel kind {self.kind!r}")
         # _lifted scales by 1 / lengthscale**2: the square must be finite and normal.
         tiny = np.finfo(float).tiny
         if not (self.lengthscale > 0 and tiny <= self.lengthscale * self.lengthscale < np.inf):
@@ -40,8 +37,10 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KrrModel:
-    """Fitted kernel ridge regressor: f(x) = sum_i coef_i k(center_i, x).
+    """Fitted kernel ridge regressor with k outputs: f_j(x) = sum_i coef_ji k(center_i, x).
 
+    ``coefficients`` is (k, m), one contiguous row per output;
+    ``clip_bound`` and ``loo_rms`` are (k,), one entry per output.
     ``constant`` is a class attribute, not a field, and always None: the
     package builds no constant model, but the benchmark's tracer still reads
     ``model.constant`` to count a predict's kernel evaluations.
@@ -50,13 +49,16 @@ class KrrModel:
     centers: np.ndarray
     coefficients: np.ndarray
     kernel: KernelSpec
-    clip_bound: float
-    loo_rms: float  # closed-form leave-one-out RMS error of the fit
+    clip_bound: np.ndarray
+    loo_rms: np.ndarray  # closed-form leave-one-out RMS error of each output
     constant = None  # not a field; see above
 
     def __post_init__(self):
-        if len(self.centers) != len(self.coefficients):
-            raise ValueError("coefficients must match centers in length")
+        k = len(self.coefficients)
+        if np.shape(self.coefficients) != (k, len(self.centers)):
+            raise ValueError("coefficients must be (k, m), with m the number of centers")
+        if np.shape(self.clip_bound) != (k,) or np.shape(self.loo_rms) != (k,):
+            raise ValueError("clip_bound and loo_rms must hold one entry per output")
 
 
 def _as_matrix(X):
@@ -165,28 +167,24 @@ def _targets(X, y):
 
 
 def _fitted(centers, alpha, loo_residuals, spec, y):
-    """A tuple of k models, one per column of the (n, k) y, clipped at that column's max |y_i|.
+    """One model with an output per column of the (n, k) y, clipped at that column's max |y_i|.
 
-    ``alpha`` and ``loo_residuals`` are (m, k) and (n, k); each model carries
+    ``alpha`` and ``loo_residuals`` are (m, k) and (n, k); each output carries
     its leave-one-out RMS, inf if not finite.
     """
-    clip = np.max(np.abs(y), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         rms = np.sqrt(np.mean(loo_residuals ** 2, axis=0))
-    models = tuple(
-        KrrModel(centers=centers, coefficients=np.ascontiguousarray(alpha[:, j]), kernel=spec,
-                 clip_bound=float(clip[j]),
-                 loo_rms=float(rms[j]) if np.isfinite(rms[j]) else np.inf)
-        for j in range(alpha.shape[1]))
-    return models
+    return KrrModel(centers=centers, coefficients=np.ascontiguousarray(alpha.T), kernel=spec,
+                    clip_bound=np.max(np.abs(y), axis=0),
+                    loo_rms=np.where(np.isfinite(rms), rms, np.inf))
 
 
 def krr_fit(X, y, lam, spec):
     """Solve (G + lambda*n*I) alpha = y; the n-scaling matches a (1/n) empirical risk.
 
     ``y`` is (n, k): its k target columns share one Gram matrix and one
-    factor, and give a tuple of k models, each clipped at its own column's
-    max |y_i|. Each model's ``loo_rms`` comes from that factor: the
+    factor, and give one model with k outputs, each clipped at its own
+    column's max |y_i|. Each output's ``loo_rms`` comes from that factor: the
     leave-one-out residual at x_i is alpha_i / [A^-1]_ii for the system A
     actually solved (Rifkin & Lippert, "Notes on regularized least squares",
     2007), with A^-1 from L by ``dpotri``.
@@ -215,10 +213,11 @@ def nystrom_fit(X, y, lam, spec, m, rng):
     """Nystrom KRR with m uniformly subsampled centers.
 
     Solves the normal equations (Knm' Knm + lambda*n*Kmm) alpha = Knm' y; like
-    ``krr_fit``, it takes (n, k) targets and returns k models. Each model's
-    ``loo_rms`` is that of ridge regression on the fixed features k(x, c_j):
-    the residual at x_i over 1 - H_ii, with H_ii = ||L^-1 k_i||^2 for row k_i
-    of Knm and the factor L of the system actually solved.
+    ``krr_fit``, it takes (n, k) targets and returns one model with k outputs.
+    Each output's ``loo_rms`` is that of ridge regression on the fixed
+    features k(x, c_j): the residual at x_i over 1 - H_ii, with
+    H_ii = ||L^-1 k_i||^2 for row k_i of Knm and the factor L of the system
+    actually solved.
     """
     X, y = _targets(X, y)
     n = X.shape[0]
@@ -240,14 +239,15 @@ def nystrom_fit(X, y, lam, spec, m, rng):
     return _fitted(centers, alpha, loo, spec, y)
 
 
-def predict_batch(model, X):
-    """Kernel expansion sum_j coef_j k(c_j, x_i) for a batch X (n, d).
+def predict_batch(model, X, output=0):
+    """Kernel expansion sum_j coef_j k(c_j, x_i) of one output for a batch X (n, d).
 
     The rows and the centres are lifted once per call (``_lifted``), which
     folds the 1/l^2 scale into one (d + 2, m) multiply. Rows then go through
     ``_rbf_gram`` in blocks of at most 2**16 kernel values (512 KiB, so a
     block stays in cache from the GEMM to the exp2), each written into one
-    (rows, m) buffer allocated once per call and reduced by one GEMV.
+    (rows, m) buffer allocated once per call and reduced by one GEMV on the
+    output's contiguous coefficient row.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -256,13 +256,15 @@ def predict_batch(model, X):
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {centers.shape[1]}")
     rows, cols = _lifted(X, centers, model.kernel.lengthscale)
     out = np.empty(n)
+    coef = model.coefficients[output]
     block = max(1, 2**16 // max(1, len(centers)))
     buf = np.empty((min(block, n), len(centers)))
     for lo in range(0, n, block):
         hi = min(n, lo + block)
-        out[lo:hi] = _rbf_gram(rows[lo:hi], cols, out=buf[:hi - lo]) @ model.coefficients
+        out[lo:hi] = _rbf_gram(rows[lo:hi], cols, out=buf[:hi - lo]) @ coef
     return out
 
 
-def clipped_predict_batch(model, X):
-    return np.clip(predict_batch(model, X), -model.clip_bound, model.clip_bound)
+def clipped_predict_batch(model, X, output=0):
+    bound = model.clip_bound[output]
+    return np.clip(predict_batch(model, X, output), -bound, bound)

@@ -165,20 +165,20 @@ def test_criterion_7_regression_properties():
     X = rng.uniform(-2, 2, size=(30, 2))
     y = rng.normal(size=30)
 
-    [interp] = kernels.krr_fit(X, y[:, None], 0.0, spec)
+    interp = kernels.krr_fit(X, y[:, None], 0.0, spec)
     np.testing.assert_allclose(kernels.predict_batch(interp, X), y, atol=1e-8)
 
     lam = 1e-5
-    [model] = kernels.krr_fit(X, y[:, None], lam, spec)
+    model = kernels.krr_fit(X, y[:, None], lam, spec)
     G = kernels.gram_matrix(X, X, spec)
-    resid = (G + lam * 30 * np.eye(30)) @ model.coefficients - y
+    resid = (G + lam * 30 * np.eye(30)) @ model.coefficients[0] - y
     assert np.linalg.norm(resid) / np.linalg.norm(y) <= 1e-8
 
     # m = n equivalence needs a well-conditioned system: the Nystrom normal
     # equations square the Gram condition number, so use a moderate lambda
     lam_nys = 1e-4
-    [exact] = kernels.krr_fit(X, y[:, None], lam_nys, spec)
-    [nys] = kernels.nystrom_fit(X, y[:, None], lam_nys, spec, m=30, rng=np.random.default_rng(1))
+    exact = kernels.krr_fit(X, y[:, None], lam_nys, spec)
+    nys = kernels.nystrom_fit(X, y[:, None], lam_nys, spec, m=30, rng=np.random.default_rng(1))
     Xq = rng.uniform(-2, 2, size=(40, 2))
     np.testing.assert_allclose(kernels.predict_batch(nys, Xq),
                                kernels.predict_batch(exact, Xq), atol=1e-6)

@@ -12,6 +12,8 @@ import scipy.linalg
 
 from krrdp import bellman, kernels
 from krrdp.bellman import (
+    CONTINUATION,
+    VALUE,
     StageConfig,
     backward_pass,
     continuation,
@@ -109,15 +111,15 @@ def test_stage_targets_equal_max_of_exercise_and_continuation():
 
 
 def test_backward_pass_fits_both_models_to_the_stage_targets():
-    # V_t and C_t are the two models of one krr_fit of the stage's (X, Y)
+    # V_t and C_t are the two outputs of one krr_fit of the stage's (X, Y)
     run = small_run()
     stack = backward_pass(run)
     for t in range(1, run.steps):
         X, Y = generate_stage_data(t, run.stage, stack.stage_fn(t + 1), run.params,
                                    run.payoff, run.seed)
-        value, cont = kernels.krr_fit(X, Y, run.stage.lam, run.stage.kernel)
-        np.testing.assert_array_equal(stack.models[t].coefficients, value.coefficients)
-        np.testing.assert_array_equal(stack.continuations[t].coefficients, cont.coefficients)
+        fit = kernels.krr_fit(X, Y, run.stage.lam, run.stage.kernel)
+        np.testing.assert_array_equal(stack.models[t].coefficients, fit.coefficients)
+        np.testing.assert_array_equal(stack.models[t].centers, X)
 
 
 @pytest.mark.parametrize("M", [8, 7])
@@ -179,9 +181,9 @@ def test_tiled_continuation_matches_one_shot(n, M):
     rng = substream(21, INNER, M)
     X = sample_mu_t(params, 3, n, rng)
     model = kernels.KrrModel(centers=sample_mu_t(params, 4, 37, rng),
-                             coefficients=rng.uniform(0.5, 1.5, 37),
+                             coefficients=rng.uniform(0.5, 1.5, (1, 37)),
                              kernel=KernelSpec(lengthscale=20.0),
-                             clip_bound=math.inf, loo_rms=math.inf)
+                             clip_bound=np.full(1, math.inf), loo_rms=np.full(1, math.inf))
     Z = bellman.pair_shocks(rng, n, M, 3)
     sizes = []
 
@@ -209,9 +211,9 @@ def test_continuation_on_a_thread_pool_matches_builtin_map(n, M, count):
     rng = substream(23, INNER, M)
     X = sample_mu_t(params, 3, n, rng)
     model = kernels.KrrModel(centers=sample_mu_t(params, 4, 37, rng),
-                             coefficients=rng.uniform(-1.0, 1.0, 37),
+                             coefficients=rng.uniform(-1.0, 1.0, (1, 37)),
                              kernel=KernelSpec(lengthscale=20.0),
-                             clip_bound=math.inf, loo_rms=math.inf)
+                             clip_bound=np.full(1, math.inf), loo_rms=np.full(1, math.inf))
     Z = bellman.pair_shocks(rng, n, M, 3)
     tiles = []
 
@@ -287,13 +289,13 @@ def test_backward_pass_structure_and_determinism():
     stack2 = backward_pass(run)
     assert stack1.horizon == 3 and len(stack1.models) == 3
     # stage 0 is the point mass at x0: no model, priced by price_at_origin
-    assert stack1.models[0] is None and stack1.continuations[0] is None
+    assert stack1.models[0] is None
     for t in range(1, 3):
-        value, cont = stack1.models[t], stack1.continuations[t]
-        assert cont.centers is value.centers
-        assert value.clip_bound is not None and cont.clip_bound is not None
-        np.testing.assert_array_equal(value.coefficients, stack2.models[t].coefficients)
-        np.testing.assert_array_equal(cont.coefficients, stack2.continuations[t].coefficients)
+        model = stack1.models[t]
+        # one model per stage, with V_t and C_t as its two outputs
+        assert model.coefficients.shape == (2, len(model.centers))
+        assert model.clip_bound.shape == model.loo_rms.shape == (2,)
+        np.testing.assert_array_equal(model.coefficients, stack2.models[t].coefficients)
 
 
 def test_backward_pass_fits_stages_above_zero_only(monkeypatch):
@@ -322,7 +324,7 @@ def test_stage_models_respect_clip_bound():
     X = rng.uniform(1.0, 400.0, size=(500, 2))
     for t in range(1, 3):
         preds = stack.stage_fn(t)(X)
-        assert np.all(np.abs(preds) <= stack.models[t].clip_bound + 1e-12)
+        assert np.all(np.abs(preds) <= stack.models[t].clip_bound[VALUE] + 1e-12)
 
 
 def test_stack_stage_fn_at_terminal_is_payoff():
@@ -411,8 +413,12 @@ def _nested_lower_bound(stack, paths, rng):
 
 def _with_bands(stack, s):
     # the stack with every s_t set to s
-    stack.continuations = [None if c is None else replace(c, loo_rms=s)
-                           for c in stack.continuations]
+    def banded(model):
+        loo_rms = model.loo_rms.copy()
+        loo_rms[CONTINUATION] = s
+        return replace(model, loo_rms=loo_rms)
+
+    stack.models = [None] + [banded(m) for m in stack.models[1:]]
     return stack
 
 
@@ -487,8 +493,7 @@ def _refit_bands(run, stack, jitter=0.0):
     for t in range(1, run.steps):
         X, Y = generate_stage_data(t, run.stage, stack.stage_fn(t + 1), run.params,
                                    run.payoff, run.seed)
-        model = stack.continuations[t]
-        assert model.centers is stack.models[t].centers
+        model = stack.models[t]
         K = kernels.gram_matrix(X, model.centers, model.kernel)
         bands.append(_krr_loo_rms(K, Y[:, 1], n * lam + jitter))
     return bands
@@ -497,7 +502,7 @@ def _refit_bands(run, stack, jitter=0.0):
 def test_continuation_band_is_the_leave_one_out_rms_of_refits():
     run = small_run(**{"stage.n": "25", "stage.lambda": "1e-2"})
     stack = backward_pass(run)
-    bands = [stack.continuations[t].loo_rms for t in range(1, run.steps)]
+    bands = [stack.models[t].loo_rms[CONTINUATION] for t in range(1, run.steps)]
     assert bands == pytest.approx(_refit_bands(run, stack), rel=1e-8)
 
 
@@ -519,7 +524,7 @@ def test_continuation_band_comes_from_the_jittered_factor(monkeypatch, caplog):
     stack = backward_pass(run)
     assert len(factorizations) == 2 * (run.steps - 1)
     assert sum("jitter 0.5" in r.getMessage() for r in caplog.records) == run.steps - 1
-    bands = [stack.continuations[t].loo_rms for t in range(1, run.steps)]
+    bands = [stack.models[t].loo_rms[CONTINUATION] for t in range(1, run.steps)]
     assert bands == pytest.approx(_refit_bands(run, stack, jitter=0.5), rel=1e-8)
     assert bands != pytest.approx(_refit_bands(run, stack), rel=1e-3)
 
@@ -531,18 +536,17 @@ def test_all_zero_stage_fits_zero_models():
     stack = backward_pass(run)
     X = substream(0, 1).uniform(50.0, 200.0, size=(50, 2))
     for t in range(1, run.steps):
-        for model in (stack.models[t], stack.continuations[t]):
-            assert not model.coefficients.any()
-            assert model.clip_bound == 0.0 and model.loo_rms == 0.0
-            assert not kernels.clipped_predict_batch(model, X).any()
+        model = stack.models[t]
+        assert not model.coefficients.any()
+        assert np.all(model.clip_bound == 0.0) and np.all(model.loo_rms == 0.0)
+        for output in (VALUE, CONTINUATION):
+            assert not kernels.clipped_predict_batch(model, X, output).any()
     assert policy_lower_bound(stack, 50, substream(run.seed, 3)) == (0.0, 0.0)
 
 
-def _set_header(path, key, value):
+def _set_array(path, key, value):
     data = dict(np.load(path))
-    header = json.loads(bytes(data["header"]).decode())
-    header[key] = value
-    data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    data[key] = value
     with open(path, "wb") as f:
         np.savez(f, **data)
 
@@ -558,20 +562,21 @@ def test_stack_serialization_round_trip(tmp_path):
     assert loaded.payoff == stack.payoff
     rng = substream(0, 1)
     X = rng.uniform(50.0, 200.0, size=(200, 2))
-    assert loaded.models[0] is None and loaded.continuations[0] is None
+    assert loaded.models[0] is None
     for t in range(1, stack.horizon + 1):
         np.testing.assert_array_equal(stack.stage_fn(t)(X), loaded.stage_fn(t)(X))
     for t in range(1, stack.horizon):
-        cont, back = stack.continuations[t], loaded.continuations[t]
-        assert back.centers is loaded.models[t].centers
-        np.testing.assert_array_equal(cont.coefficients, back.coefficients)
-        assert (back.clip_bound, back.loo_rms) == (cont.clip_bound, cont.loo_rms)
-        assert cont.loo_rms != stack.models[t].loo_rms and cont.loo_rms < math.inf
-        np.testing.assert_array_equal(kernels.clipped_predict_batch(cont, X),
-                                      kernels.clipped_predict_batch(back, X))
+        model, back = stack.models[t], loaded.models[t]
+        np.testing.assert_array_equal(model.coefficients, back.coefficients)
+        np.testing.assert_array_equal(model.clip_bound, back.clip_bound)
+        np.testing.assert_array_equal(model.loo_rms, back.loo_rms)
+        assert model.loo_rms[CONTINUATION] != model.loo_rms[VALUE]
+        assert model.loo_rms[CONTINUATION] < math.inf
+        np.testing.assert_array_equal(kernels.clipped_predict_batch(model, X, CONTINUATION),
+                                      kernels.clipped_predict_batch(back, X, CONTINUATION))
     assert (policy_lower_bound(loaded, 400, substream(run.seed, 3))
             == policy_lower_bound(stack, 400, substream(run.seed, 3)))
-    _set_header(path, "version", 5)
+    _set_array(path, "version", 5)
     with pytest.raises(ValueError, match="version 5"):
         load_stack(path)
 
@@ -597,18 +602,36 @@ def test_stack_files_of_two_fits_are_byte_identical(tmp_path):
 
 
 def test_stack_file_stores_each_fact_once(tmp_path):
-    # T is the stage count plus one and d the length of x0, so the header holds
+    # T is the stage count plus one and d the length of x0, so the file holds
     # neither; lambda only says how a stage was fitted, so no model holds it.
-    stack = backward_pass(small_run())
+    # Each stage is one model: its centres once and one (2, m) coefficient array.
+    stack = backward_pass(small_run(**{"contract.steps": "4"}))
     path = tmp_path / "stack.npz"
     save_stack(stack, path)
-    header = json.loads(bytes(np.load(path)["header"]).decode())
-    assert set(header) == {"version", "dt", "r", "payoff_kind", "strike", "stages"}
-    for stage in header["stages"]:
-        assert set(stage) == {"lengthscale", "clip_bound", "loo_rms", "continuation"}
+    data = np.load(path)
+    assert set(data.files) == {
+        "version", "dt", "r", "sigma", "rho", "x0", "payoff_kind", "strike",
+        "lengthscale", "clip_bound", "loo_rms",
+        "centers_1", "coef_1", "centers_2", "coef_2", "centers_3", "coef_3"}
+    assert data["payoff_kind"].shape == () and data["payoff_kind"].dtype.kind == "U"
+    assert data["lengthscale"].shape == (3,)
+    assert data["clip_bound"].shape == data["loo_rms"].shape == (3, 2)
+    assert data["coef_2"].shape == (2, len(data["centers_2"]))
     assert [f.name for f in fields(kernels.KrrModel)] == [
         "centers", "coefficients", "kernel", "clip_bound", "loo_rms"]
     assert load_stack(path).params.d == stack.params.d
+
+
+def test_stack_with_no_fitted_stage_round_trips(tmp_path):
+    # T = 1: the file holds the run's arrays and empty per-stage ones
+    run = small_run(**{"contract.steps": "1"})
+    stack = backward_pass(run)
+    path = tmp_path / "stack.npz"
+    save_stack(stack, path)
+    loaded = load_stack(path)
+    assert loaded.models == [None] and loaded.payoff == stack.payoff
+    assert (price_at_origin(loaded, 500, substream(run.seed, EVAL))
+            == price_at_origin(stack, 500, substream(run.seed, EVAL)))
 
 
 @pytest.mark.parametrize("version", [99, 6], ids=["version", "format_6"])
@@ -616,6 +639,31 @@ def test_stack_version_check(tmp_path, version):
     stack = backward_pass(small_run())
     path = tmp_path / "stack.npz"
     save_stack(stack, path)
-    _set_header(path, "version", version)
+    _set_array(path, "version", version)
     with pytest.raises(ValueError, match=f"unsupported stack format version {version}"):
+        load_stack(path)
+
+
+def test_stack_in_the_format_7_layout_is_rejected(tmp_path):
+    # format 7 kept its scalars in a uint8 JSON header and had no version array
+    stack = backward_pass(small_run())
+    params, models = stack.params, stack.models[1:]
+    header = {"version": 7, "dt": params.dt, "r": params.r, "payoff_kind": stack.payoff.kind,
+              "strike": stack.payoff.strike,
+              "stages": [{"lengthscale": m.kernel.lengthscale,
+                          "clip_bound": float(m.clip_bound[VALUE]),
+                          "loo_rms": float(m.loo_rms[VALUE]),
+                          "continuation": {"clip_bound": float(m.clip_bound[CONTINUATION]),
+                                           "loo_rms": float(m.loo_rms[CONTINUATION])}}
+                         for m in models]}
+    arrays = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+              "sigma": params.sigma, "rho": params.rho, "x0": params.x0}
+    for t, m in enumerate(models, start=1):
+        arrays[f"centers_{t}"] = m.centers
+        arrays[f"coef_{t}"] = m.coefficients[VALUE]
+        arrays[f"cont_coef_{t}"] = m.coefficients[CONTINUATION]
+    path = tmp_path / "stack.npz"
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    with pytest.raises(ValueError, match="unsupported stack format version 7 or older"):
         load_stack(path)

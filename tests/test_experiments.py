@@ -75,6 +75,18 @@ def test_lower_bound_always_attached():
     assert lb >= 0 and se > 0
 
 
+def test_run_benchmark_prices_the_oracle_before_any_repetition(monkeypatch):
+    # at maturity 1e-300 the binomial tree's up and down moves coincide: the run
+    # fails on the oracle before it fits a single stack
+    passes = []
+    backward_pass = bellman.backward_pass
+    monkeypatch.setattr(bellman, "backward_pass",
+                        lambda run: passes.append(run) or backward_pass(run))
+    with pytest.raises(ValueError, match="up and down moves coincide"):
+        run_benchmark(tiny_config(**{"contract.maturity": "1e-300"}))
+    assert passes == []
+
+
 def test_oracle_only_for_geometric_put():
     assert oracle_price(tiny_config("max_call")) is None
     put_oracle = oracle_price(tiny_config())
