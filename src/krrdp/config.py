@@ -16,6 +16,7 @@ from .bellman import StageConfig
 from .dynamics import GbmParams
 from .kernels import KernelSpec
 from .payoffs import PAYOFF_KINDS, PayoffSpec
+from .qmc import MAX_DIM
 
 DEFAULT_LAMBDA = 1e-6
 
@@ -35,6 +36,14 @@ MAX_CALL_LENGTHSCALE = 20.0 * math.sqrt(10.0)
 # reference within 25% either way on the put d=10 and call d=5 rows, and the
 # seed-7 acceptance prices within 0.02. i.i.d. draws at this M are ~2.8x worse.
 INNER_MC_MULTIPLIER = 2
+
+# Shifted Sobol points of the x0 evaluation, a power of two. Over 30
+# randomizations on repetition 0's stack of the benchmark rows (seed 1), the
+# x0 continuation's sd read 3.5e-4, 2.9e-4 and 4.6e-4 on call_d2, put_d5 and
+# put_d10, against 3.9e-3, 2.0e-3 and 1.6e-3 for the 100 000 pseudo-random
+# draws it replaces, at a twelfth of their predicts; 2048 points read 1.6e-3
+# on put_d10.
+DEFAULT_EVAL_M = 2**13
 
 
 class ConfigError(ValueError):
@@ -159,6 +168,9 @@ def build_run_config(entries):
     d = take("market.d", cast=int)
     if d < 1:
         raise ConfigError("field 'market.d': need at least one asset")
+    if d > MAX_DIM:
+        raise ConfigError(f"field 'market.d': at most {MAX_DIM} assets, the dimensions "
+                          f"of the Sobol points the x0 evaluation and the lower bound use")
     r = take("market.r", 0.05, float)
     sigma = np.asarray(take("market.sigma", [0.2], _floats))
     if sigma.size == 1:
@@ -211,7 +223,7 @@ def build_run_config(entries):
         stage=stage,
         seed=take("seed", 20260823, int),
         repetitions=take("repetitions", 10, int),
-        eval_M=take("eval_M", 100_000, int),
+        eval_M=take("eval_M", DEFAULT_EVAL_M, int),
         lb_paths=take("lb_paths", 4000, int),
     )
     if entries:

@@ -156,6 +156,25 @@ def _solve_spd(A, b, jitter_scale):
         ) from exc
 
 
+def _inverse_diagonal(c):
+    """diag(A^-1) from the factor L of A = L L^T in the lower triangle of ``c``, overwritten.
+
+    [A^-1]_ii = [L^-T L^-1]_ii is the sum of squares of column i of L^-1 on
+    and below the diagonal, so one triangular inverse (``dtrtri``) serves,
+    not all of A^-1 (``dpotri``). In the Fortran-ordered (n, n) inverse that
+    part of column i is the flat run [i (n + 1), (i + 1) n); ``reduceat``
+    sums those runs and skips the strictly upper entries between them, which
+    keep ``c``'s stale values.
+    """
+    n = len(c)
+    flat = scipy.linalg.lapack.dtrtri(c, lower=1, overwrite_c=1)[0].ravel(order="F")
+    np.square(flat, out=flat)
+    bounds = np.empty(2 * n - 1, dtype=np.intp)
+    bounds[0::2] = np.arange(n) * (n + 1)
+    bounds[1::2] = np.arange(1, n) * n
+    return np.add.reduceat(flat, bounds)[0::2]
+
+
 def _targets(X, y):
     """X as an (n, d) matrix and y as (n, k) floats, checked to match."""
     X = _as_matrix(X)
@@ -187,7 +206,7 @@ def krr_fit(X, y, lam, spec):
     column's max |y_i|. Each output's ``loo_rms`` comes from that factor: the
     leave-one-out residual at x_i is alpha_i / [A^-1]_ii for the system A
     actually solved (Rifkin & Lippert, "Notes on regularized least squares",
-    2007), with A^-1 from L by ``dpotri``.
+    2007), with the diagonal of A^-1 from L (``_inverse_diagonal``).
 
     The same diagonal gives the fit's effective degrees of freedom,
     tr(G A^-1) = n - penalty tr(A^-1) for the diagonal penalty actually added,
@@ -200,7 +219,7 @@ def krr_fit(X, y, lam, spec):
         raise ValueError("lambda must be nonnegative")
     A = gram_matrix(X, X, spec) + (lam * n) * np.eye(n)
     alpha, c, jitter = _solve_spd(A, y, 1e-10)
-    inv_diag = np.diag(scipy.linalg.lapack.dpotri(c, lower=1, overwrite_c=1)[0])
+    inv_diag = _inverse_diagonal(c)
     dof = n - (lam * n + jitter) * inv_diag.sum()
     if dof < MIN_DOF:
         logger.warning("the fit has %.2g effective degrees of freedom from n = %d points "

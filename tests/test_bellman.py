@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from krrdp import bellman, kernels
+from krrdp import bellman, kernels, qmc
 from krrdp.bellman import (
     CONTINUATION,
     VALUE,
@@ -396,7 +396,7 @@ def _nested_lower_bound(stack, paths, rng):
         itm = np.flatnonzero(C > 0)[:1 if t == 0 else None]
         stop = np.zeros(len(C), dtype=bool)
         if itm.size:
-            z = rng.standard_normal((itm.size, bellman.LOWER_BOUND_INNER_M // 2, params.d))
+            z = qmc.sobol_shocks(rng, itm.size, bellman.LOWER_BOUND_INNER_M, params.d)
             cont = continuation(x[itm], stack.stage_fn(t + 1), z, params).mean(axis=1)
             stop[itm] = C[itm] >= cont
         if t == 0:

@@ -125,6 +125,8 @@ def test_per_stage_override():
         ({**BASE, "seed": "-1"}, "seed"),
         ({**BASE, "lb_paths": "1"}, "a standard error needs two paths"),
         ({**BASE, "repetitions": "1"}, "a standard error needs two repetitions"),
+        ({**BASE, "market.d": "22"}, "'market.d': at most 21 assets"),
+        ({**BASE, "market.d": "1000"}, "'market.d': at most 21 assets"),
     ],
 )
 def test_invalid_configs_raise(entries, match):

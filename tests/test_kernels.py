@@ -245,6 +245,31 @@ def test_unfactorizable_system_raises_fit_error():
         kernels._solve_spd(-np.eye(3), np.ones(3), 1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 50, 467, 10])
+def test_krr_fit_inverse_diagonal_matches_dpotri(n, monkeypatch, caplog):
+    # krr_fit reads diag(A^-1) from L^-1: it equals the diagonal of dpotri's
+    # whole A^-1 from the same factor, on the jitter-retry path too (n = 10:
+    # ten copies of one point at lambda = 0)
+    rng = np.random.default_rng(n)
+    jitter = n == 10
+    X = np.zeros((n, 1)) if jitter else _price_scale_points(rng, n, 10)
+    seen = []
+    inverse_diagonal = kernels._inverse_diagonal
+
+    def recording(c):
+        full = scipy.linalg.lapack.dpotri(c.copy(order="F"), lower=1)[0]
+        seen.append((np.diag(full), inverse_diagonal(c)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(kernels, "_inverse_diagonal", recording)
+    with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
+        kernels.krr_fit(X, rng.normal(size=(n, 2)), 0.0 if jitter else 1e-6,
+                        KernelSpec(lengthscale=30.0))
+    (expected, got), = seen
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    assert any("jitter" in r.getMessage() for r in caplog.records) == jitter
+
+
 def test_jitter_retry_rescues_singular_gram(caplog):
     # duplicated points with lambda = 0: the Gram matrix is exactly singular,
     # the jitter retry must still produce a usable (non-FitError) solve
