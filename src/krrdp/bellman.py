@@ -7,15 +7,14 @@ its training states, whatever n: one model whose two outputs are V_t, fitted
 to the Bellman targets, and the continuation C_t, fitted to the stage's
 continuation means, with C_t's leave-one-out RMS s_t. ``policy_lower_bound``
 exercises by C_t and nests a Monte Carlo continuation only where the payoff
-lies within s_t of it. Every continuation average steps on antithetic pairs:
-the stage targets on ``pair_shocks``' pseudo-random normals, and the nested
-estimates after the fit (``price_at_origin``'s eval_M points at x0 and the
-bound's LOWER_BOUND_INNER_M) on ``qmc.sobol_shocks``' randomized quasi-Monte
-Carlo shocks, digitally shifted Sobol points. A stage draws its training
-states and its inner shocks (``stage_draws``) from one counter-based
-substream each, keyed by (seed, purpose, stage), before any continuation
-tile runs; the tiles depend only on the stage's size, so the targets do not
-depend on the thread count.
+lies within s_t of it. Every continuation average steps on antithetic pairs
+of ``qmc.sobol_shocks``' randomized quasi-Monte Carlo shocks, digitally
+shifted Sobol points, one shift per averaged state: the stage targets' M
+points (``stage_draws``), ``price_at_origin``'s eval_M points at x0 and the
+bound's LOWER_BOUND_INNER_M. A stage draws its training states and the shifts
+of its inner shocks from one counter-based substream each, keyed by (seed,
+purpose, stage), before any continuation tile runs; the tiles depend only on
+the stage's size, so the targets do not depend on the thread count.
 """
 
 import math
@@ -35,12 +34,14 @@ STACK_FORMAT_VERSION = 8
 # Bellman targets and C_t's continuation means.
 VALUE, CONTINUATION = 0, 1
 
-# Next states that continuation steps and evaluates at once. On the benchmark's
-# put_d10 row (2 vCPU, two seeds, tiles 2**10 to 2**16), 2**13 gave the lowest
-# seconds per repetition, 0.73-0.82 s against 0.78-1.17 s for the other tiles
-# and 1.01-1.09 s untiled; peak RSS was 76 MB there, 72 MB at 2**10, 93 MB at
-# 2**16 and 101 MB untiled.
-CONTINUATION_TILE = 2**13
+# Next states that continuation steps and evaluates at once. At M = 64 on the
+# benchmark rows (2 vCPU, 6 s runs, medians of 8 seeds), seconds per
+# repetition did not separate between tiles 2**11, 2**12 and 2**13 (put_d10
+# 0.356, 0.342 and 0.327 s in one set of seeds; 0.316 s at 2**11 and 2**12
+# in another), while peak RSS fell with the tile, most where two threads each
+# hold a tile: put_d5_jobs2 read 73.0, 74.0 and 74.5 MB, and 73.2 against
+# 74.7 MB in the second set; put_d10 75.9, 75.9 and 77.4 MB.
+CONTINUATION_TILE = 2**11
 
 # Points (16 antithetic pairs of shifted Sobol points) of policy_lower_bound's
 # nested continuation, made only where the payoff lies within s_t of C_t, and
@@ -95,22 +96,12 @@ class ValueFunctionStack:
         return lambda X: kernels.clipped_predict_batch(model, X, VALUE)
 
 
-def pair_shocks(rng, n, M, d):
-    """One shock of each antithetic pair for n M-draw averages: shape (n, ceil(M/2), d).
-
-    Pairing z with -z keeps each average unbiased and cuts its variance
-    (Glasserman, Monte Carlo Methods in Financial Engineering, 2004, sec. 4.2);
-    an odd M rounds up to M + 1 draws.
-    """
-    return rng.standard_normal((n, (M + 1) // 2, d))
-
-
 def continuation(X, next_fn, Z, params, tile_map=map):
     """The (n, 2h) matrix of discounted next values e^{-r dt} next_fn(step(X_i, +-Z_ij)).
 
     Each state X_i (a row of X, shape (n, d)) steps once per shock Z_ij and
-    once per -Z_ij (Z has shape (n, h, d), from ``pair_shocks`` or
-    ``qmc.sobol_shocks``), both from one shock product. Columns j and h + j
+    once per -Z_ij (Z has shape (n, h, d), as ``qmc.sobol_shocks`` draws it),
+    both from one shock product. Columns j and h + j
     are a pair; row means are the Monte Carlo continuation values. The next
     states are stepped and evaluated in tiles of at most CONTINUATION_TILE:
     whole rows while their 2h states fit, else slices of one row's pairs, so
@@ -137,9 +128,13 @@ def continuation(X, next_fn, Z, params, tile_map=map):
 
 
 def stage_draws(t, cfg, params, seed):
-    """Stage t's training states X ~ mu_t and their inner shocks Z, from (seed, purpose, t)."""
+    """Stage t's training states X ~ mu_t and their inner shocks Z, from (seed, purpose, t).
+
+    Z is (n, ceil(M/2), d): each state's own digital shift of the first
+    ceil(M/2) Sobol points, one shock of each antithetic pair.
+    """
     X = sample_mu_t(params, t, cfg.n, substream(seed, OUTER, t))
-    return X, pair_shocks(substream(seed, INNER, t), cfg.n, cfg.M, params.d)
+    return X, qmc.sobol_shocks(substream(seed, INNER, t), cfg.n, cfg.M, params.d)
 
 
 def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1):
@@ -194,15 +189,17 @@ def policy_lower_bound(stack, paths, rng):
     nested LOWER_BOUND_INNER_M-point continuation through the stage-(t+1) model
     where |C - C_t(x)| < s_t, C_t's leave-one-out RMS, and at t = 0, which has
     no C_0 (Broadie & Cao, Quant. Finance 2008). Every path starts at x0, so
-    one nested estimate there decides t = 0 for all. The outer increments are
-    drawn first, as one (T, paths, d) block, then the digital shifts of each
-    nested estimate, so a path's increments do not depend on the others. Once
-    every path has stopped, the walk goes on over 0 rows, which draw nothing.
+    one nested estimate there decides t = 0 for all. The outer increments
+    come from their own stream, ``rng``'s bit generator jumped ahead, one
+    (paths, d) block per date for every path, stopped or not; the digital
+    shifts of the nested estimates come from ``rng``. So a path's increments
+    do not depend on the other paths or on the nested estimates. Once every
+    path has stopped, the walk goes on over 0 rows, which nest nothing.
     """
     if paths < 2:
         raise ValueError("paths must be at least 2: a standard error needs two paths")
     params, payoff, T = stack.params, stack.payoff, stack.horizon
-    steps = rng.standard_normal((T, paths, params.d))
+    outer = np.random.Generator(rng.bit_generator.jumped())
     x = np.tile(params.x0, (paths, 1))
     alive = np.arange(paths)
     value = np.zeros(paths)
@@ -216,7 +213,7 @@ def policy_lower_bound(stack, paths, rng):
         value[alive[stop]] = C[stop] * math.exp(-params.r * t * params.dt)
         keep = ~stop
         alive = alive[keep]
-        x = gbm_step(x[keep], params, steps[t, alive])
+        x = gbm_step(x[keep], params, outer.standard_normal((paths, params.d))[alive])
     value[alive] = payoff_batch(payoff, x) * math.exp(-params.r * T * params.dt)
     return float(value.mean()), float(value.std(ddof=1) / math.sqrt(paths))
 

@@ -28,14 +28,16 @@ DEFAULT_LAMBDA = 1e-6
 PUT_LENGTHSCALE_BASE = 40.0 / math.sqrt(2.0)
 MAX_CALL_LENGTHSCALE = 20.0 * math.sqrt(10.0)
 
-# Multiplier on the baseline inner-MC counts. The baseline M alone leaves an
-# upward max-of-noisy-MC bias larger than the oracle agreement we target. The
-# targets' inner draws are antithetic pairs, which at this multiplier measure
-# the same continuation error as i.i.d. draws at 16: stage T-1 standard error
-# 0.0553 against 0.0604 on the d=10 put, RMS error against a 32768-draw
-# reference within 25% either way on the put d=10 and call d=5 rows, and the
-# seed-7 acceptance prices within 0.02. i.i.d. draws at this M are ~2.8x worse.
-INNER_MC_MULTIPLIER = 2
+# Inner points of every stage target's continuation average: 32 antithetic
+# pairs of shifted Sobol points, a power of two, on every row. On the seed-7
+# acceptance configs, `krrdp mc-diag` (stage T-1's continuation standard
+# error) read 0.028, 0.035 and 0.042 on the put at d = 2, 5 and 10 and 0.056
+# on the call at d = 2, against 0.095, 0.071, 0.056 and 0.22 for the 100, 116,
+# 144 and 100 pseudo-random draws this replaces. On repetition 0's stacks
+# of seed 1, 64 shifted points read a nested RMS error of 0.028-0.034 at
+# d = 10 at t = 1, 4 and 7. The seed-7 put prices moved by at most 0.009
+# against the binomial oracle, each toward it or within 0.002.
+DEFAULT_INNER_M = 64
 
 # Shifted Sobol points of the x0 evaluation, a power of two. Over 30
 # randomizations on repetition 0's stack of the benchmark rows (seed 1), the
@@ -98,15 +100,9 @@ def default_lengthscale(d, payoff_kind):
 
 
 def default_sample_sizes(d):
-    """Stage sizes interpolated linearly in d between (2, 200, 50) and (20, 800, 100).
-
-    The inner-MC count is additionally scaled by INNER_MC_MULTIPLIER = 2, for
-    M = 100, 116 and 144 at d = 2, 5 and 10.
-    """
+    """Stage sizes (n, M): n linear in d from 200 at d = 2 to 800 at d = 20, M = DEFAULT_INNER_M."""
     frac = (max(d, 2) - 2) / 18.0
-    n = round(200 + 600 * frac)
-    M = round(50 + 50 * frac) * INNER_MC_MULTIPLIER
-    return int(n), int(M)
+    return int(round(200 + 600 * frac)), DEFAULT_INNER_M
 
 
 def _plain(value):
@@ -170,7 +166,7 @@ def build_run_config(entries):
         raise ConfigError("field 'market.d': need at least one asset")
     if d > MAX_DIM:
         raise ConfigError(f"field 'market.d': at most {MAX_DIM} assets, the dimensions "
-                          f"of the Sobol points the x0 evaluation and the lower bound use")
+                          f"of the Sobol points every continuation average uses")
     r = take("market.r", 0.05, float)
     sigma = np.asarray(take("market.sigma", [0.2], _floats))
     if sigma.size == 1:

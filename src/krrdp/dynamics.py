@@ -18,6 +18,7 @@ INNER = 1   # inner MC for continuation values
 EVAL = 2    # fresh time-0 evaluation
 LOWER = 3   # lower-bound policy simulation
 REP = 4     # per-repetition root
+DIAG = 5    # extra shift replicates of the inner-MC error diagnostic
 
 logger = logging.getLogger(__name__)
 

@@ -8,12 +8,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bellman, oracles
+from . import bellman, oracles, qmc
 from .config import RunConfig, config_hash
-from .dynamics import EVAL, LOWER, REP, substream
+from .dynamics import DIAG, EVAL, LOWER, REP, substream
 from .payoffs import GEO_BASKET_PUT, payoff_batch
 
 ORACLE_TREE_STEPS_PER_DATE = 1000
+
+# Independent shift replicates behind mc_error_diagnostic's standard error,
+# replicate 0 the stage's own draws: 15 degrees of freedom per row.
+MC_DIAG_REPLICATES = 16
 
 # A price this many pooled standard errors below the policy lower bound on
 # the same stack is impossible for a working pricer.
@@ -137,25 +141,29 @@ def convergence_study(cfg, n_grid):
 def mc_error_diagnostic(cfg):
     """Standard error of stage T-1's continuation means, on repetition 0's draws.
 
-    X and the inner shocks are ``bellman.stage_draws`` at t = T-1, the ones
-    ``backward_pass(repetition(cfg, 0))`` draws there, so the row means of S
-    below are the continuation values of the stack behind ``run_benchmark``'s
-    lower bound. The draws come in h antithetic pairs, columns j and h + j, so
-    the i.i.d. units are the pair means P_ij. Returns sqrt(mean_i s_i^2 / h),
-    s_i^2 the sample variance of row i of P; at another sample size M' it
-    scales by sqrt(2h / M').
+    X and replicate 0 of the inner shocks are ``bellman.stage_draws`` at
+    t = T-1, the ones ``backward_pass(repetition(cfg, 0))`` draws there, so
+    replicate 0's row means are the continuation values of the stack behind
+    ``run_benchmark``'s lower bound. A row's shifted Sobol points are not
+    independent draws, so the error of its mean cannot be read from their
+    spread; MC_DIAG_REPLICATES - 1 further replicates shift the same points
+    again for the same X, from the substream (seed, DIAG, t). Returns
+    sqrt(mean_i s_i^2), s_i the sample standard deviation of row i's
+    continuation mean over the replicates.
     """
     if cfg.steps < 2:
         raise ValueError(f"need contract.steps >= 2 for a fitted stage, got {cfg.steps}")
     t = cfg.steps - 1
     params, stage, seed = cfg.params, cfg.stage, repetition(cfg, 0).seed
-    if stage.M < 3:
-        raise ValueError(f"need M >= 3 for a variance over two antithetic pairs, got M={stage.M}")
     X, Z = bellman.stage_draws(t, stage, params, seed)
-    S = bellman.continuation(X, lambda Xb: payoff_batch(cfg.payoff, Xb), Z, params)
-    h = Z.shape[1]
-    P = (S[:, :h] + S[:, h:]) / 2
-    return float(np.sqrt(np.mean(P.var(axis=1, ddof=1)) / h))
+    payoff_fn = lambda Xb: payoff_batch(cfg.payoff, Xb)
+    rng = substream(seed, DIAG, t)
+    means = np.empty((MC_DIAG_REPLICATES, stage.n))
+    for r in range(MC_DIAG_REPLICATES):
+        if r:
+            Z = qmc.sobol_shocks(rng, stage.n, stage.M, params.d)
+        means[r] = bellman.continuation(X, payoff_fn, Z, params).mean(axis=1)
+    return float(np.sqrt(np.mean(means.var(axis=0, ddof=1))))
 
 
 _CSV_COLUMNS = ("d", "payoff", "price", "ci_low", "ci_high", "oracle",

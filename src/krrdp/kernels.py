@@ -133,27 +133,40 @@ def gram_matrix(X, Y, spec):
     return G
 
 
-def _solve_spd(A, b, jitter_scale):
-    """Cholesky solve with a single jitter retry, logged as a warning, then FitError.
+def _solve_spd(system, b, jitter_scale):
+    """Cholesky solve of A = ``system()`` with a single jitter retry, logged as a warning.
 
-    ``b`` may hold several right-hand sides as columns. Returns the solution,
-    the factor that produced it, of A or of A + jitter I (its lower triangle
-    is L), and the jitter added: 0.0 or ``jitter_scale``.
+    ``system`` builds a new C-ordered A on each call. A failed factorization
+    has overwritten A, so the retry builds it again and adds ``jitter_scale``
+    to its diagonal; if that fails too, FitError. ``b`` may hold several
+    right-hand sides as columns. Returns the solution, the factor that
+    produced it (its lower triangle is L) and the jitter added: 0.0 or
+    ``jitter_scale``.
     """
     try:
-        c, low = scipy.linalg.cho_factor(A, lower=True)
-        return scipy.linalg.cho_solve((c, low), b), c, 0.0
+        return (*_factor_solve(system(), b), 0.0)
     except np.linalg.LinAlgError:
         logger.warning("Cholesky factorization failed; retrying with jitter %.3g added "
                        "to the diagonal", jitter_scale)
-    A_j = A + jitter_scale * np.eye(A.shape[0])
+    A = system()
+    A.flat[::len(A) + 1] += jitter_scale
     try:
-        c, low = scipy.linalg.cho_factor(A_j, lower=True)
-        return scipy.linalg.cho_solve((c, low), b), c, jitter_scale
+        return (*_factor_solve(A, b), jitter_scale)
     except np.linalg.LinAlgError as exc:
         raise FitError(
             "singular regression system even after jitter; raise lambda"
         ) from exc
+
+
+def _factor_solve(A, b):
+    """Solution of A x = b and the factor, made in place on A's Fortran-ordered transpose.
+
+    Factoring A.T, not A, spares scipy a copy. A is symmetric, so the lower
+    triangle of A.T that LAPACK reads is A's upper one; on a Gram matrix
+    built by GEMM the two triangles differ by rounding, about 1e-16.
+    """
+    c, low = scipy.linalg.cho_factor(A.T, lower=True, overwrite_a=True)
+    return scipy.linalg.cho_solve((c, low), b), c
 
 
 def _inverse_diagonal(c):
@@ -217,8 +230,13 @@ def krr_fit(X, y, lam, spec):
     n = X.shape[0]
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    A = gram_matrix(X, X, spec) + (lam * n) * np.eye(n)
-    alpha, c, jitter = _solve_spd(A, y, 1e-10)
+
+    def system():
+        A = gram_matrix(X, X, spec)
+        A.flat[::n + 1] += lam * n
+        return A
+
+    alpha, c, jitter = _solve_spd(system, y, 1e-10)
     inv_diag = _inverse_diagonal(c)
     dof = n - (lam * n + jitter) * inv_diag.sum()
     if dof < MIN_DOF:
@@ -248,7 +266,7 @@ def nystrom_fit(X, y, lam, spec, m, rng):
     Knm[idx, np.arange(m)] = 1.0  # k(c, c) = 1, which the GEMM loses to cancellation
     Kmm = Knm[idx]
     A = Knm.T @ Knm + (lam * n) * Kmm
-    alpha, c, _ = _solve_spd(A, Knm.T @ y, 1e-10 * max(np.trace(A) / m, 1.0))
+    alpha, c, _ = _solve_spd(A.copy, Knm.T @ y, 1e-10 * max(np.trace(A) / m, 1.0))
     residuals = y - Knm @ alpha
     # Knm is not needed again: its transpose is overwritten by L^-1 Knm'.
     V = scipy.linalg.solve_triangular(c, Knm.T, lower=True, overwrite_b=True)

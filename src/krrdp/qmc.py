@@ -1,11 +1,13 @@
 """Randomized quasi-Monte Carlo shocks: digitally shifted Sobol points through Φ⁻¹.
 
-``sobol_shocks`` is ``bellman.pair_shocks``' counterpart for the nested
-estimates after the fit (the x0 evaluation and the lower bound's nested
-continuations). Each row of averages gets the same first Sobol points, each
-row its own uniform random digital shift, so every row's average is unbiased,
-rows are independent, and the shifts are the only draw from the generator
-(Glasserman, Monte Carlo Methods in Financial Engineering, 2004, sec. 5.4).
+``sobol_shocks`` gives every continuation average in ``bellman`` its shocks:
+the stage targets' inner averages, the x0 evaluation and the lower bound's
+nested continuations. Each row of averages gets the same first Sobol points,
+each row its own uniform random digital shift, so every row's average is
+unbiased, rows are independent, and the shifts are the only draw from the
+generator (Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
+sec. 5.4). A row's points are not independent of one another, so a row's
+error is measured across independent shifts, not from its own spread.
 Numpy only: ``scipy.stats`` and ``scipy.special`` stay out of the package.
 """
 

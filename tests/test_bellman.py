@@ -101,7 +101,10 @@ def test_stage_targets_equal_max_of_exercise_and_continuation():
     X, Y = generate_stage_data(t, run.stage, next_fn, params, payoff, run.seed)
     np.testing.assert_array_equal(X, sample_mu_t(params, t, 40, substream(run.seed, OUTER, t)))
     assert Y.shape == (40, 2)
-    half = substream(run.seed, INNER, t).standard_normal((40, M // 2, 2))
+    # each state's own digital shift of the first M / 2 Sobol points, through the quantile
+    shift = substream(run.seed, INNER, t).integers(0, 2**32, (40, 2), dtype=np.uint64)
+    half = qmc.normal_quantile(
+        ((qmc.sobol_points(M // 2, 2)[None] ^ shift[:, None]) + 0.5) * 2.0**-32)
     for i in (0, 17, 39):
         z = np.concatenate([half[i], -half[i]])
         cont = math.exp(-0.05 / 3.0) * next_fn(gbm_step(X[i], params, z)).mean()
@@ -120,14 +123,6 @@ def test_backward_pass_fits_both_models_to_the_stage_targets():
         fit = kernels.krr_fit(X, Y, run.stage.lam, run.stage.kernel)
         np.testing.assert_array_equal(stack.models[t].coefficients, fit.coefficients)
         np.testing.assert_array_equal(stack.models[t].centers, X)
-
-
-@pytest.mark.parametrize("M", [8, 7])
-def test_pair_shocks_draw_ceil_half_m_normals_from_the_stream(M):
-    # one shock of each pair, 4 per average at M = 8 and at M = 7
-    Z = bellman.pair_shocks(substream(5, INNER, 2), 3, M, 3)
-    assert Z.shape == (3, 4, 3)
-    np.testing.assert_array_equal(Z, substream(5, INNER, 2).standard_normal((3, 4, 3)))
 
 
 def test_odd_m_rounds_up_to_one_more_draw(monkeypatch):
@@ -151,7 +146,7 @@ def test_antithetic_continuation_is_exact_on_an_odd_integrand():
     # of sum_k log x'_k is exact.
     params = make_params(d=3)
     X = sample_mu_t(params, 4, 25, substream(9, OUTER, 4))
-    Z = bellman.pair_shocks(substream(9, INNER, 4), 25, 16, 3)
+    Z = substream(9, INNER, 4).standard_normal((25, 8, 3))
     cont = continuation(X, lambda Xb: np.log(Xb).sum(axis=1), Z, params).mean(axis=1)
     drift = (params.r - 0.5 * params.sigma ** 2) * params.dt
     exact = math.exp(-params.r * params.dt) * (np.log(X) + drift).sum(axis=1)
@@ -165,7 +160,9 @@ def _one_shot_continuation(X, next_fn, Z, params):
     return math.exp(-params.r * params.dt) * next_fn(xn.reshape(-1, d)).reshape(n, 2 * h)
 
 
-TILE = bellman.CONTINUATION_TILE
+# The tile the cases below are laid out for. Each test pins CONTINUATION_TILE
+# to it, so the cases keep their shape when the tuned tile changes.
+TILE = 2**13
 
 
 @pytest.mark.parametrize("n, M", [
@@ -174,9 +171,10 @@ TILE = bellman.CONTINUATION_TILE
     (1, 2 * TILE + 6),  # pair tiles: one row, h = TILE + 3 pairs, ragged last slice
     (3, TILE + 1),  # pair tiles over several rows, odd M, ragged last slice of 1 pair
 ])
-def test_tiled_continuation_matches_one_shot(n, M):
+def test_tiled_continuation_matches_one_shot(n, M, monkeypatch):
     # next_fn is the kernel predict, so the tile edges fall in exp2's SIMD tails;
     # positive coefficients keep every value away from cancellation.
+    monkeypatch.setattr(bellman, "CONTINUATION_TILE", TILE)
     params = make_params(d=3)
     rng = substream(21, INNER, M)
     X = sample_mu_t(params, 3, n, rng)
@@ -184,7 +182,7 @@ def test_tiled_continuation_matches_one_shot(n, M):
                              coefficients=rng.uniform(0.5, 1.5, (1, 37)),
                              kernel=KernelSpec(lengthscale=20.0),
                              clip_bound=np.full(1, math.inf), loo_rms=np.full(1, math.inf))
-    Z = bellman.pair_shocks(rng, n, M, 3)
+    Z = rng.standard_normal((n, (M + 1) // 2, 3))
     sizes = []
 
     def predict(Xb):
@@ -204,9 +202,10 @@ def test_tiled_continuation_matches_one_shot(n, M):
     (300, 128, 5),  # whole-row tiles: 64 rows a tile, a ragged last tile of 44
     (2, 20_000, 6),  # slices of one row's pairs: 10 000 pairs in slices of 4096
 ])
-def test_continuation_on_a_thread_pool_matches_builtin_map(n, M, count):
+def test_continuation_on_a_thread_pool_matches_builtin_map(n, M, count, monkeypatch):
     # The tiles are the unit of thread work: running them on two threads, in
     # whatever order they finish, writes bitwise the values builtin map does.
+    monkeypatch.setattr(bellman, "CONTINUATION_TILE", TILE)
     params = make_params(d=3)
     rng = substream(23, INNER, M)
     X = sample_mu_t(params, 3, n, rng)
@@ -214,7 +213,7 @@ def test_continuation_on_a_thread_pool_matches_builtin_map(n, M, count):
                              coefficients=rng.uniform(-1.0, 1.0, (1, 37)),
                              kernel=KernelSpec(lengthscale=20.0),
                              clip_bound=np.full(1, math.inf), loo_rms=np.full(1, math.inf))
-    Z = bellman.pair_shocks(rng, n, M, 3)
+    Z = rng.standard_normal((n, (M + 1) // 2, 3))
     tiles = []
 
     def next_fn(Xb):
@@ -387,7 +386,7 @@ def _nested_lower_bound(stack, paths, rng):
     # Reference rule on policy_lower_bound's draws: the nested continuation on
     # every in-the-money path, once at x0 at t = 0.
     params, payoff, T = stack.params, stack.payoff, stack.horizon
-    steps = rng.standard_normal((T, paths, params.d))
+    outer = np.random.Generator(rng.bit_generator.jumped())
     x = np.tile(params.x0, (paths, 1))
     alive = np.arange(paths)
     value = np.zeros(paths)
@@ -405,7 +404,7 @@ def _nested_lower_bound(stack, paths, rng):
         alive, x = alive[~stop], x[~stop]
         if alive.size == 0:
             break
-        x = gbm_step(x, params, steps[t, alive])
+        x = gbm_step(x, params, outer.standard_normal((paths, params.d))[alive])
     if alive.size:
         value[alive] = payoff_batch(payoff, x) * math.exp(-params.r * T * params.dt)
     return float(value.mean()), float(value.std(ddof=1) / math.sqrt(paths))

@@ -45,12 +45,12 @@ def test_default_sample_sizes_interpolation():
     assert default_sample_sizes(20)[0] == 800
     n10, m10 = default_sample_sizes(10)
     assert 200 < n10 < 800
-    # inner count scales with the multiplier on top of the 50..100 base
-    assert default_sample_sizes(2)[1] % 50 == 0
+    # the inner count is one power of two, so its Sobol points stay balanced
+    assert m10 & (m10 - 1) == 0
 
 
 def test_default_inner_sample_sizes():
-    assert [default_sample_sizes(d)[1] for d in (2, 5, 10)] == [100, 116, 144]
+    assert [default_sample_sizes(d)[1] for d in (2, 5, 10, 20)] == [64, 64, 64, 64]
 
 
 def test_default_lengthscale_payoff_aware():

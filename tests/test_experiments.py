@@ -188,8 +188,8 @@ def test_run_config_derives_maturity_and_views_one_stage_per_date():
 
 
 def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
-    # The diagnostic's continuation matrix is the one behind stage T-1's targets
-    # in repetition 0, whose stack gives run_benchmark's lower bound.
+    # The diagnostic's first continuation matrix is the one behind stage T-1's
+    # targets in repetition 0, whose stack gives run_benchmark's lower bound.
     cfg = tiny_config()
     t, stage = cfg.steps - 1, cfg.stage
     calls = []
@@ -203,7 +203,8 @@ def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
     monkeypatch.setattr(bellman, "continuation", recording)
     se = mc_error_diagnostic(cfg)
     monkeypatch.undo()
-    [(X, S)] = calls
+    assert len(calls) == experiments.MC_DIAG_REPLICATES
+    X, S = calls[0]
     payoff_fn = lambda Xb: payoff_batch(cfg.payoff, Xb)
     X_run, Y_run = bellman.generate_stage_data(t, stage, payoff_fn, cfg.params, cfg.payoff,
                                                experiments.repetition(cfg, 0).seed)
@@ -211,22 +212,26 @@ def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
     np.testing.assert_array_equal(S.mean(axis=1), Y_run[:, 1])
     np.testing.assert_array_equal(np.maximum(payoff_fn(X), S.mean(axis=1)), Y_run[:, 0])
     assert S.shape == (stage.n, stage.M)
-    # the i.i.d. units are the means of the M / 2 antithetic pairs (j, M/2 + j)
-    p = stage.M // 2
-    P = 0.5 * (S[:, :p] + S[:, p:])
-    assert se == math.sqrt(np.mean(P.var(axis=1, ddof=1)) / p)
+    # every replicate averages the same states on its own shifts; the standard
+    # error is the RMS over rows of each row mean's sd across the replicates
+    assert all(Xr is X and Sr.shape == S.shape and not np.array_equal(Sr, S)
+               for Xr, Sr in calls[1:])
+    means = np.array([Sr.mean(axis=1) for _, Sr in calls])
+    assert se == math.sqrt(np.mean(means.var(axis=0, ddof=1)))
 
 
 def test_mc_diagnostic_clt_scaling():
     small = mc_error_diagnostic(tiny_config(**{"stage.n": "200", "stage.M": "64"}))
     large = mc_error_diagnostic(tiny_config(**{"stage.n": "200", "stage.M": "256"}))
-    # the standard error scales like 1/sqrt(M): ratio sqrt(4) = 2
-    assert 1.6 <= small / large <= 2.5
+    # Shifted Sobol points beat 1/sqrt(M), the pseudo-random rate (a ratio of
+    # sqrt(4) = 2), on the payoff's kink, but not 1/M (a ratio of 4)
+    assert 2.0 <= small / large <= 4.0
 
 
-def test_mc_diagnostic_rejects_m_below_three():
-    with pytest.raises(ValueError, match="M >= 3"):
-        mc_error_diagnostic(tiny_config(**{"stage.M": "2"}))
+def test_mc_diagnostic_measures_a_single_pair():
+    # the error is read across shift replicates, so one pair per row suffices
+    one, two = (mc_error_diagnostic(tiny_config(**{"stage.M": M})) for M in ("1", "2"))
+    assert one == two and 0.0 < one < math.inf
 
 
 def test_mc_diagnostic_rejects_a_contract_with_no_fitted_stage():

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -151,9 +152,9 @@ def test_fitted_gram_diagonal_is_exactly_one(d, lengthscale, monkeypatch, caplog
     systems = []
     solve = kernels._solve_spd
 
-    def recording(A, b, jitter_scale):
-        systems.append(A.copy())
-        return solve(A, b, jitter_scale)
+    def recording(system, b, jitter_scale):
+        systems.append(system())
+        return solve(system, b, jitter_scale)
 
     monkeypatch.setattr(kernels, "_solve_spd", recording)
     with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
@@ -242,7 +243,7 @@ def test_krr_input_validation():
 
 def test_unfactorizable_system_raises_fit_error():
     with pytest.raises(FitError, match="raise lambda"):
-        kernels._solve_spd(-np.eye(3), np.ones(3), 1e-10)
+        kernels._solve_spd(lambda: -np.eye(3), np.ones(3), 1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 50, 467, 10])
@@ -268,6 +269,21 @@ def test_krr_fit_inverse_diagonal_matches_dpotri(n, monkeypatch, caplog):
     (expected, got), = seen
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
     assert any("jitter" in r.getMessage() for r in caplog.records) == jitter
+
+
+def test_krr_fit_working_memory_is_one_gram_matrix():
+    # The Gram matrix takes lambda n on its diagonal and is factored in place;
+    # beside it, only scipy's n^2 boolean finiteness check and O(n) arrays.
+    n = 1000
+    rng = np.random.default_rng(2)
+    X, y = _price_scale_points(rng, n, 10), rng.normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        kernels.krr_fit(X, y, 1e-6, KernelSpec(lengthscale=30.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8
 
 
 def test_jitter_retry_rescues_singular_gram(caplog):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from krrdp import bellman, qmc
-from krrdp.bellman import backward_pass, continuation, pair_shocks, price_at_origin
+from krrdp.bellman import backward_pass, continuation, price_at_origin
 from krrdp.config import load_config
 from krrdp.dynamics import EVAL, substream
 
@@ -84,7 +84,7 @@ def test_rqmc_x0_spread_is_below_the_pseudo_random_one_at_equal_m(quick):
     rqmc, pseudo = [], []
     for k in range(20):
         rqmc.append(bellman._nested(stack, 0, x0, M, substream(k, EVAL))[0])
-        Z = pair_shocks(substream(k, EVAL), 1, M, run.params.d)
+        Z = substream(k, EVAL).standard_normal((1, M // 2, run.params.d))
         pseudo.append(continuation(x0, stack.stage_fn(1), Z, run.params).mean())
     assert np.std(rqmc) < 0.5 * np.std(pseudo)
 
