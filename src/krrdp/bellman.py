@@ -2,36 +2,47 @@
 
 Stage models approximate the value functions V_t for t = 1..T-1 (V_T is the
 known terminal payoff; V_0 is needed only at x0, where ``price_at_origin``
-estimates it). Every stage fits exact KRR (``kernels.krr_fit``) on all n of
-its training states, whatever n: one model whose two outputs are V_t, fitted
-to the Bellman targets, and the continuation C_t, fitted to the stage's
-continuation means, with C_t's leave-one-out RMS s_t. ``policy_lower_bound``
-exercises by C_t and nests a Monte Carlo continuation only where the payoff
-lies within s_t of it. Every continuation average steps on antithetic pairs
-of ``qmc.sobol_shocks``' randomized quasi-Monte Carlo shocks, digitally
-shifted Sobol points, one shift per averaged state: the stage targets' M
-points (``stage_draws``), ``price_at_origin``'s eval_M points at x0 and the
-bound's LOWER_BOUND_INNER_M. A stage draws its training states and the shifts
-of its inner shocks from one counter-based substream each, keyed by (seed,
-purpose, stage), before any continuation tile runs; the tiles depend only on
-the stage's size, so the targets do not depend on the thread count.
+estimates it) above a closed-form baseline b_t, which ``european_baseline``
+gives: V_t = b_t + f_t. For the geometric put, b_t is the European put on the
+basket's geometric mean, whose discounted value is a martingale under the
+simulated dynamics and b_T the payoff, so only the early-exercise premium f_t
+is regressed and f_T = 0: the European price as a control variate (Glasserman,
+Monte Carlo Methods in Financial Engineering, 2004, sec. 8.6). For the
+max-call, b = 0 and f_t is V_t. Every stage fits exact KRR
+(``kernels.krr_fit``) on all n of its training states, whatever n: one model
+whose two outputs are f_t, fitted to max(payoff - b_t, c_t), and the premium's
+continuation c_t, fitted to the discounted mean of f_{t+1} over the stage's
+inner points, with c_t's leave-one-out RMS s_t. Every evaluator adds b_t back
+exactly: ``stage_fn`` gives b_t + f_t, and ``policy_lower_bound`` exercises by
+b_t + c_t and nests a Monte Carlo continuation only where the payoff lies
+within s_t of it. Where f_{t+1} = 0 (the put at t = T-1) a continuation is b_t
+exactly and draws nothing. Every other continuation average steps on
+antithetic pairs of ``qmc.sobol_shocks``' randomized quasi-Monte Carlo shocks,
+digitally shifted Sobol points, one shift per averaged state: the stage
+targets' M points (``stage_draws``), ``price_at_origin``'s eval_M points at x0
+and the bound's LOWER_BOUND_INNER_M. A stage draws its training states and the
+shifts of its inner shocks from one counter-based substream each, keyed by
+(seed, purpose, stage), before any continuation tile runs; the tiles depend
+only on the stage's size, so the targets do not depend on the thread count.
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels, qmc
-from .dynamics import INNER, OUTER, GbmParams, gbm_step, sample_mu_t, substream
+from .dynamics import (INNER, OUTER, GbmParams, gbm_step, geometric_mean_rates, sample_mu_t,
+                       substream)
 from .kernels import KernelSpec, KrrModel
-from .payoffs import PayoffSpec, payoff_batch
+from .payoffs import GEO_BASKET_PUT, PayoffSpec, payoff_batch
 
-STACK_FORMAT_VERSION = 8
+STACK_FORMAT_VERSION = 9
 
-# The columns of a stage's targets Y, and so the outputs of its model: V_t's
-# Bellman targets and C_t's continuation means.
+# The columns of a stage's targets Y, and so the outputs of its model: the
+# premium f_t's Bellman targets and its continuation c_t's means.
 VALUE, CONTINUATION = 0, 1
 
 # Next states that continuation steps and evaluates at once. At M = 64 on the
@@ -69,31 +80,80 @@ class StageConfig:
             raise ValueError("lambda must be nonnegative and finite")
 
 
+def european_baseline(payoff, params, horizon):
+    """The baseline b(t, X) of the stage models, for 0 <= t <= horizon; None where b = 0.
+
+    For the geometric put, b_t(X) is the Black-Scholes put on G(X), the rows'
+    geometric mean, with ``dynamics.geometric_mean_rates``' sigma_hat and q and
+    (horizon - t) dt to run, and b_horizon is the payoff. G is exactly that
+    GBM under ``gbm_step``, so e^{-r dt} E[b_{t+1}(X_{t+1}) | X_t] = b_t(X_t).
+    The max-call has no such baseline: None.
+    """
+    if payoff.kind != GEO_BASKET_PUT:
+        return None
+    sigma, q = geometric_mean_rates(params)
+    strike, r = payoff.strike, params.r
+
+    def baseline(t, X):
+        if t == horizon:
+            return payoff_batch(payoff, X)
+        tau = (horizon - t) * params.dt
+        vol = sigma * math.sqrt(tau)
+        log_g = np.mean(np.log(X), axis=1)
+        d2 = (log_g - math.log(strike) + (r - q - 0.5 * sigma * sigma) * tau) / vol
+        put = strike * math.exp(-r * tau) * qmc.normal_cdf(-d2)
+        put -= np.exp(log_g - q * tau) * qmc.normal_cdf(-(d2 + vol))
+        return put
+
+    return baseline
+
+
 @dataclass
 class ValueFunctionStack:
     """Stage models for t = 1..T-1 and the terminal payoff V_T; t = 0 has no model.
 
-    ``models[t]`` has two outputs: V_t at VALUE and the continuation C_t at
-    CONTINUATION, whose ``loo_rms`` is s_t.
+    ``models[t]`` has two outputs: the premium f_t = V_t - b_t at VALUE and
+    its continuation c_t at CONTINUATION, whose ``loo_rms`` is s_t.
+    ``baseline`` is ``european_baseline`` of the stack's payoff, params and
+    horizon: b(t, X), or None where b = 0.
     """
 
     payoff: PayoffSpec
     models: list  # KrrModel per stage t = 1..T-1; None at t = 0
     params: GbmParams
+    baseline: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.baseline = european_baseline(self.payoff, self.params, self.horizon)
 
     @property
     def horizon(self):
         """T, the last exercise date: one model slot per date t = 0..T-1."""
         return len(self.models)
 
-    def stage_fn(self, t):
-        """Batch evaluator of the stage-t value approximant (payoff at t=T), 1 <= t <= T."""
+    def _check_stage(self, t):
         if not 1 <= t <= self.horizon:
             raise ValueError(f"no stage model at t={t}; stages run 1..{self.horizon}")
+
+    def premium_fn(self, t):
+        """Batch evaluator of the clipped premium f_t, 1 <= t <= T; None where f_t = 0.
+
+        At t = T, f_T is the payoff less b_T: 0 for the put, the payoff for the call.
+        """
+        self._check_stage(t)
         if t == self.horizon:
-            return lambda X: payoff_batch(self.payoff, X)
+            return None if self.baseline is not None else lambda X: payoff_batch(self.payoff, X)
         model = self.models[t]
         return lambda X: kernels.clipped_predict_batch(model, X, VALUE)
+
+    def stage_fn(self, t):
+        """Batch evaluator of V_t's approximant b_t + f_t (the payoff at t = T), 1 <= t <= T."""
+        premium = self.premium_fn(t)
+        if self.baseline is None:
+            return premium
+        if t == self.horizon:
+            return lambda X: payoff_batch(self.payoff, X)
+        return lambda X: self.baseline(t, X) + premium(X)
 
 
 def continuation(X, next_fn, Z, params, tile_map=map):
@@ -137,37 +197,52 @@ def stage_draws(t, cfg, params, seed):
     return X, qmc.sobol_shocks(substream(seed, INNER, t), cfg.n, cfg.M, params.d)
 
 
-def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1):
-    """Stage t's training states X (n, d) and targets Y (n, 2).
+def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1, baseline=None):
+    """Stage t's training states X (n, d) and targets Y (n, 2) above the baseline b_t.
 
-    ``Y[:, CONTINUATION]`` holds the MC continuation means and ``Y[:, VALUE]``
-    the Bellman targets max(exercise, continuation). The continuation tiles
-    run on ``n_jobs`` threads.
+    ``next_fn`` is the next date's value less its baseline, None where that
+    is 0; ``baseline`` is b_t as a batch function, None where b_t = 0.
+    ``Y[:, CONTINUATION]`` holds the discounted means of ``next_fn`` over each
+    state's inner points and ``Y[:, VALUE]`` the Bellman targets
+    max(exercise - b_t, continuation). The continuation tiles run on
+    ``n_jobs`` threads. Where ``next_fn`` is None the continuation is 0 and
+    the stage draws no inner shocks.
     """
-    X, Z = stage_draws(t, cfg, params, seed)
     Y = np.empty((cfg.n, 2))
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        Y[:, CONTINUATION] = continuation(X, next_fn, Z, params, pool.map).mean(axis=1)
-    Y[:, VALUE] = np.maximum(payoff_batch(payoff, X), Y[:, CONTINUATION])
+    if next_fn is None:
+        X = sample_mu_t(params, t, cfg.n, substream(seed, OUTER, t))
+        Y[:, CONTINUATION] = 0.0
+    else:
+        X, Z = stage_draws(t, cfg, params, seed)
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            Y[:, CONTINUATION] = continuation(X, next_fn, Z, params, pool.map).mean(axis=1)
+    exercise = payoff_batch(payoff, X)
+    if baseline is not None:
+        exercise -= baseline(X)
+    Y[:, VALUE] = np.maximum(exercise, Y[:, CONTINUATION])
     return X, Y
 
 
+def fit_stage(stack, t, cfg, seed, n_jobs=1):
+    """Fit stage t's premium model, and so f_t and c_t, from the stack's f_{t+1}."""
+    baseline = None if stack.baseline is None else functools.partial(stack.baseline, t)
+    try:
+        X, Y = generate_stage_data(t, cfg, stack.premium_fn(t + 1), stack.params, stack.payoff,
+                                   seed, n_jobs, baseline)
+        stack.models[t] = kernels.krr_fit(X, Y, cfg.lam, cfg.kernel)
+    except kernels.FitError as exc:
+        raise kernels.FitError(f"stage {t}: {exc}") from exc
+
+
 def backward_pass(run, n_jobs=1):
-    """Fit V_t and C_t for t = T-1 down to 1: one model of the stage's two target columns each.
+    """Fit f_t and c_t for t = T-1 down to 1: one model of the stage's two target columns each.
 
     Stage 0 is the point mass at x0, so it has no regression: its one value,
     the time-0 price, is ``price_at_origin``'s fresh evaluation at x0.
     """
-    params, T, seed = run.params, run.steps, run.seed
-    stack = ValueFunctionStack(payoff=run.payoff, models=[None] * T, params=params)
-    cfg = run.stage
-    for t in range(T - 1, 0, -1):
-        try:
-            X, Y = generate_stage_data(t, cfg, stack.stage_fn(t + 1), params, run.payoff,
-                                       seed, n_jobs)
-            stack.models[t] = kernels.krr_fit(X, Y, cfg.lam, cfg.kernel)
-        except kernels.FitError as exc:
-            raise kernels.FitError(f"stage {t}: {exc}") from exc
+    stack = ValueFunctionStack(payoff=run.payoff, models=[None] * run.steps, params=run.params)
+    for t in range(run.steps - 1, 0, -1):
+        fit_stage(stack, t, run.stage, run.seed, n_jobs)
     return stack
 
 
@@ -185,16 +260,18 @@ def policy_lower_bound(stack, paths, rng):
     Any feasible rule prices at or below the optimum in expectation, so this
     is a downward-biased cross-check. A path exercises at the first t where
     its payoff C is positive and at least the continuation estimate: the
-    regression rule C >= C_t(x) (Longstaff & Schwartz, RFS 2001), refined by a
-    nested LOWER_BOUND_INNER_M-point continuation through the stage-(t+1) model
-    where |C - C_t(x)| < s_t, C_t's leave-one-out RMS, and at t = 0, which has
-    no C_0 (Broadie & Cao, Quant. Finance 2008). Every path starts at x0, so
-    one nested estimate there decides t = 0 for all. The outer increments
-    come from their own stream, ``rng``'s bit generator jumped ahead, one
-    (paths, d) block per date for every path, stopped or not; the digital
-    shifts of the nested estimates come from ``rng``. So a path's increments
-    do not depend on the other paths or on the nested estimates. Once every
-    path has stopped, the walk goes on over 0 rows, which nest nothing.
+    regression rule C >= b_t(x) + c_t(x) (Longstaff & Schwartz, RFS 2001),
+    refined by a nested LOWER_BOUND_INNER_M-point continuation through the
+    stage-(t+1) model where |C - b_t(x) - c_t(x)| < s_t, c_t's leave-one-out
+    RMS, and at t = 0, which has no c_0 (Broadie & Cao, Quant. Finance 2008).
+    b_t is evaluated once per date, on the in-the-money states. Every path
+    starts at x0, so one nested estimate there decides t = 0 for all. The
+    outer increments come from their own stream, ``rng``'s bit generator
+    jumped ahead, one (paths, d) block per date for every path, stopped or
+    not; the digital shifts of the nested estimates come from ``rng``. So a
+    path's increments do not depend on the other paths or on the nested
+    estimates. Once every path has stopped, the walk goes on over 0 rows,
+    which nest nothing.
     """
     if paths < 2:
         raise ValueError("paths must be at least 2: a standard error needs two paths")
@@ -221,25 +298,38 @@ def policy_lower_bound(stack, paths, rng):
 def _exercise(stack, t, x, C, rng):
     """Whether the states x (rows), with positive payoffs C, exercise at date t >= 1."""
     model = stack.models[t]
-    gap = C - kernels.clipped_predict_batch(model, x, CONTINUATION)
+    cont = kernels.clipped_predict_batch(model, x, CONTINUATION)
+    b = None if stack.baseline is None else stack.baseline(t, x)
+    if b is not None:
+        cont += b
+    gap = C - cont
     stop, nest = gap >= 0, np.abs(gap) < model.loo_rms[CONTINUATION]
-    stop[nest] = C[nest] >= _nested(stack, t, x[nest], LOWER_BOUND_INNER_M, rng)
+    stop[nest] = C[nest] >= _nested(stack, t, x[nest], LOWER_BOUND_INNER_M, rng,
+                                    None if b is None else b[nest])
     return stop
 
 
-def _nested(stack, t, x, M, rng):
+def _nested(stack, t, x, M, rng, b=None):
     """M-point RQMC continuation values at date t of the states x (rows), through V_{t+1}.
 
-    Each row averages over its own digitally shifted Sobol points
-    (``qmc.sobol_shocks``), so each estimate is unbiased and rows are
-    independent; the shifts are the only draw from ``rng``.
+    That is b_t(x) plus the discounted mean of f_{t+1} over each row's own
+    digitally shifted Sobol points (``qmc.sobol_shocks``), so each estimate
+    is unbiased and rows are independent; the shifts are the only draw from
+    ``rng``. ``b`` is b_t(x) where the caller has it. Where f_{t+1} = 0 the
+    value is b_t(x) exactly, and nothing is drawn.
     """
+    if b is None and stack.baseline is not None:
+        b = stack.baseline(t, x)
+    premium = stack.premium_fn(t + 1)
+    if premium is None:
+        return b
     Z = qmc.sobol_shocks(rng, len(x), M, stack.params.d)
-    return continuation(x, stack.stage_fn(t + 1), Z, stack.params).mean(axis=1)
+    cont = continuation(x, premium, Z, stack.params).mean(axis=1)
+    return cont if b is None else b + cont
 
 
 def save_stack(stack, path):
-    """Versioned npz serialization of stages 1..T-1; predictions round-trip bit-exactly.
+    """Versioned npz serialization of premium models 1..T-1; predictions round-trip bit-exactly.
 
     Plain arrays only, so ``np.load`` reads it without pickle: the run's
     scalars and vectors, then row t - 1 of ``lengthscale``, ``clip_bound``
@@ -269,6 +359,7 @@ def save_stack(stack, path):
 
 
 def load_stack(path):
+    """The stack ``save_stack`` wrote, its baseline rebuilt from the stored run arrays."""
     with np.load(path) as data:
         # formats 7 and older kept the version in a JSON header, not an array
         version = int(data["version"]) if "version" in data else "7 or older"

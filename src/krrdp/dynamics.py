@@ -92,6 +92,19 @@ def gbm_step(x, params, z, antithetic=False):
     return growth
 
 
+def geometric_mean_rates(params):
+    """(sigma_hat, q) of the assets' geometric mean G = exp(mean_k log x_k).
+
+    Under ``gbm_step``, log G moves by (r - q - sigma_hat^2 / 2) dt plus a normal
+    of variance sigma_hat^2 dt each step: G is a one-asset GBM with volatility
+    sigma_hat and dividend yield q, exactly.
+    """
+    sigma, d = params.sigma, params.d
+    var = float(sigma @ params.rho @ sigma) / d**2
+    q = float(np.sum(sigma**2)) / (2 * d) - var / 2
+    return math.sqrt(var), q
+
+
 def sample_mu_t(params, t, n, rng):
     """n draws of the stage-t state under the always-hold behavior policy."""
     if t < 0 or n < 1:

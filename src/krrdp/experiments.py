@@ -11,7 +11,7 @@ import numpy as np
 from . import bellman, oracles, qmc
 from .config import RunConfig, config_hash
 from .dynamics import DIAG, EVAL, LOWER, REP, substream
-from .payoffs import GEO_BASKET_PUT, payoff_batch
+from .payoffs import GEO_BASKET_PUT
 
 ORACLE_TREE_STEPS_PER_DATE = 1000
 
@@ -139,10 +139,13 @@ def convergence_study(cfg, n_grid):
 
 
 def mc_error_diagnostic(cfg):
-    """Standard error of stage T-1's continuation means, on repetition 0's draws.
+    """Standard error of the last drawing stage's continuation means, on repetition 0's draws.
 
-    X and replicate 0 of the inner shocks are ``bellman.stage_draws`` at
-    t = T-1, the ones ``backward_pass(repetition(cfg, 0))`` draws there, so
+    For the max-call that is stage T-1, which averages the payoff. The put's
+    stage T-1 averages f_T = 0 and draws nothing, so for the put it is stage
+    T-2, which averages the premium through repetition 0's stage-(T-1) model.
+    X and replicate 0 of the inner shocks are ``bellman.stage_draws`` at that
+    stage, the ones ``backward_pass(repetition(cfg, 0))`` draws there, so
     replicate 0's row means are the continuation values of the stack behind
     ``run_benchmark``'s lower bound. A row's shifted Sobol points are not
     independent draws, so the error of its mean cannot be read from their
@@ -153,16 +156,24 @@ def mc_error_diagnostic(cfg):
     """
     if cfg.steps < 2:
         raise ValueError(f"need contract.steps >= 2 for a fitted stage, got {cfg.steps}")
-    t = cfg.steps - 1
     params, stage, seed = cfg.params, cfg.stage, repetition(cfg, 0).seed
+    stack = bellman.ValueFunctionStack(payoff=cfg.payoff, models=[None] * cfg.steps,
+                                       params=params)
+    t = cfg.steps - 1
+    if stack.premium_fn(t + 1) is None:
+        if t < 2:
+            raise ValueError(f"the put's stage T-1 draws nothing, so its first stage that "
+                             f"draws is T-2: need contract.steps >= 3, got {cfg.steps}")
+        bellman.fit_stage(stack, t, stage, seed)
+        t -= 1
+    next_fn = stack.premium_fn(t + 1)
     X, Z = bellman.stage_draws(t, stage, params, seed)
-    payoff_fn = lambda Xb: payoff_batch(cfg.payoff, Xb)
     rng = substream(seed, DIAG, t)
     means = np.empty((MC_DIAG_REPLICATES, stage.n))
     for r in range(MC_DIAG_REPLICATES):
         if r:
             Z = qmc.sobol_shocks(rng, stage.n, stage.M, params.d)
-        means[r] = bellman.continuation(X, payoff_fn, Z, params).mean(axis=1)
+        means[r] = bellman.continuation(X, next_fn, Z, params).mean(axis=1)
     return float(np.sqrt(np.mean(means.var(axis=0, ddof=1))))
 
 

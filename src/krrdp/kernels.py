@@ -13,7 +13,7 @@ _LOG2_E = 1.0 / math.log(2.0)
 
 # krr_fit warns below this many effective degrees of freedom. At repetition 0
 # of seed 7 the acceptance rows' stage fits read 7.8 and up, and those of
-# configs/quick.cfg 15.6 and up; on quick.cfg, lengthscale 1e6 gives 1.0,
+# configs/quick.cfg 19.8 and up; on quick.cfg, lengthscale 1e6 gives 1.0,
 # lambda 1 gives 0.6 and lambda 1e300 gives 0.0.
 MIN_DOF = 2.0
 

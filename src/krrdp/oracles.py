@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import gbm_step
+from .dynamics import gbm_step, geometric_mean_rates
 from .payoffs import GEO_BASKET_PUT, payoff_batch
 
 
@@ -27,12 +27,9 @@ def geometric_reduction(params, maturity, steps):
     Per step, log of the geometric mean moves by mean (r - q - sigma_hat^2/2) dt
     and variance sigma_hat^2 dt, matching the full simulation in distribution.
     """
-    d = params.d
-    sigma = params.sigma
-    var = float(sigma @ params.rho @ sigma) / d**2
-    q = float(np.sum(sigma**2)) / (2 * d) - var / 2
+    sigma_hat, q = geometric_mean_rates(params)
     s0 = float(np.exp(np.mean(np.log(params.x0))))
-    return Reduced1d(s0=s0, sigma_hat=math.sqrt(var), q=q, r=params.r,
+    return Reduced1d(s0=s0, sigma_hat=sigma_hat, q=q, r=params.r,
                      maturity=maturity, steps=steps)
 
 

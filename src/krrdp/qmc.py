@@ -8,7 +8,9 @@ unbiased, rows are independent, and the shifts are the only draw from the
 generator (Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
 sec. 5.4). A row's points are not independent of one another, so a row's
 error is measured across independent shifts, not from its own spread.
-Numpy only: ``scipy.stats`` and ``scipy.special`` stay out of the package.
+``normal_cdf``, Φ itself, sits beside the quantile: ``bellman``'s European
+put baseline evaluates it. Numpy only: ``scipy.stats`` and ``scipy.special``
+stay out of the package.
 """
 
 import functools
@@ -117,6 +119,73 @@ def normal_quantile(u):
             xt[far] = _rational(_FAR, r[far] - 5.0)
         np.put(x, tail, np.copysign(xt, qt))
     return x
+
+
+# Cody's rational Chebyshev approximations of erfc (Math. Comp. 23, 1969), in
+# the coefficient order of his CALERF (netlib specfun), which ``_cody`` reads:
+# |x| <= 0.46875, where erfc(x) = 1 - x P(x^2) / Q(x^2); 0.46875 < |x| <= 4;
+# and |x| > 4, in 1/x^2.
+_ERF_P = (3.16112374387056560e+0, 1.13864154151050156e+2, 3.77485237685302021e+2,
+          3.20937758913846947e+3, 1.85777706184603153e-1)
+_ERF_Q = (2.36012909523441209e+1, 2.44024637934444173e+2, 1.28261652607737228e+3,
+          2.84423683343917062e+3)
+_ERFC_P = (5.64188496988670089e-1, 8.88314979438837594e+0, 6.61191906371416295e+1,
+           2.98635138197400131e+2, 8.81952221241769090e+2, 1.71204761263407058e+3,
+           2.05107837782607147e+3, 1.23033935479799725e+3, 2.15311535474403846e-8)
+_ERFC_Q = (1.57449261107098347e+1, 1.17693950891312499e+2, 5.37181101862009858e+2,
+           1.62138957456669019e+3, 3.29079923573345963e+3, 4.36261909014324716e+3,
+           3.43936767414372164e+3, 1.23033935480374942e+3)
+_TAIL_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_TAIL_Q = (2.56852019228982242e+0, 1.87295284992346725e+0, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+_INV_SQRT_PI = 5.6418958354775628695e-1
+
+
+def _cody(p, q, x):
+    """CALERF's rational function of x in its evaluation order: p[-1] leads, then p[0], ..."""
+    num, den = p[-1] * x, x.copy()
+    for a, b in zip(p[:len(q) - 1], q):
+        num += a
+        num *= x
+        den += b
+        den *= x
+    return (num + p[len(q) - 1]) / (den + q[-1])
+
+
+def _gauss_tail(y, ratio):
+    """exp(-y^2) ratio, with y^2 split at y rounded down to 1/16 so exp loses no digits."""
+    head = np.trunc(y * 16.0) / 16.0
+    return np.exp(-head * head) * np.exp(-(y - head) * (y + head)) * ratio
+
+
+def _erfc(x):
+    """The complementary error function elementwise, by Cody's CALERF, within a few ulps.
+
+    Each region's rational function is evaluated only where it applies; |x| is
+    capped at 28, beyond which erfc underflows to 0 in double precision.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.minimum(np.abs(x), 28.0)
+    out = np.empty_like(y)
+    central = y <= 0.46875
+    xc = x[central]
+    out[central] = 1.0 - xc * _cody(_ERF_P, _ERF_Q, xc * xc)
+    mid = ~central & (y <= 4.0)
+    ym = y[mid]
+    out[mid] = _gauss_tail(ym, _cody(_ERFC_P, _ERFC_Q, ym))
+    far = ~(central | mid)  # NaN too, which propagates
+    yf = y[far]
+    inv = 1.0 / (yf * yf)
+    out[far] = _gauss_tail(yf, (_INV_SQRT_PI - inv * _cody(_TAIL_P, _TAIL_Q, inv)) / yf)
+    neg = ~central & (x < 0.0)
+    out[neg] = 2.0 - out[neg]
+    return out
+
+
+def normal_cdf(x):
+    """Φ(x) elementwise: 0.5 erfc(-x / sqrt(2)), erfc by Cody's rational approximations."""
+    return 0.5 * _erfc(-np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
 def _directions(d):

@@ -1,3 +1,4 @@
+import functools
 import json
 import logging
 import math
@@ -10,13 +11,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from krrdp import bellman, kernels, qmc
+from krrdp import bellman, kernels, oracles, qmc
 from krrdp.bellman import (
     CONTINUATION,
     VALUE,
     StageConfig,
     backward_pass,
     continuation,
+    european_baseline,
     generate_stage_data,
     load_stack,
     policy_lower_bound,
@@ -93,6 +95,66 @@ def test_continuation_value_matches_manual_mc():
         np.testing.assert_allclose(S[i], manual, rtol=1e-12, atol=1e-12)
 
 
+def _premium_stage_data(run, stack, t):
+    # stage t's (X, Y) as backward_pass makes them: the targets above b_t, from f_{t+1}
+    baseline = None if stack.baseline is None else functools.partial(stack.baseline, t)
+    return generate_stage_data(t, run.stage, stack.premium_fn(t + 1), run.params, run.payoff,
+                               run.seed, 1, baseline)
+
+
+PUT = PayoffSpec(kind="geo_basket_put", strike=100.0)
+
+
+def test_baseline_at_maturity_is_the_payoff_and_at_x0_the_european_put():
+    params = make_params(d=3)
+    baseline = european_baseline(PUT, params, 9)
+    X = sample_mu_t(params, 9, 50, substream(4, OUTER, 9))
+    np.testing.assert_array_equal(baseline(9, X), payoff_batch(PUT, X))
+    red = oracles.geometric_reduction(params, maturity=1.0, steps=9)
+    for t in (0, 4, 8):
+        tau = (9 - t) / 9.0
+        expected = oracles.bs_price(red.s0, 100.0, red.r, red.q, red.sigma_hat, tau, "put")
+        assert baseline(t, params.x0[None])[0] == pytest.approx(expected, rel=1e-13)
+    assert european_baseline(PayoffSpec(kind="max_call", strike=100.0), params, 9) is None
+
+
+@pytest.mark.parametrize("t", [0, 4, 8])
+def test_discounted_baseline_is_a_martingale(t):
+    # e^{-r dt} E[b_{t+1}(X_{t+1}) | x] = b_t(x) at states in, at and out of the
+    # money, by 16 independent shifts of 256 Sobol points each; at t = 8 the
+    # next function is the payoff, kink and all
+    params = make_params(d=3)
+    baseline = european_baseline(PUT, params, 9)
+    X = np.array([[80.0, 90.0, 85.0], [100.0, 100.0, 100.0], [95.0, 110.0, 102.0],
+                  [112.0, 108.0, 110.0]])
+    rng = substream(5, INNER, t)
+    means = np.array([
+        continuation(X, lambda Xb: baseline(t + 1, Xb), qmc.sobol_shocks(rng, 4, 256, 3),
+                     params).mean(axis=1)
+        for _ in range(16)])
+    se = means.std(axis=0, ddof=1) / 4.0
+    assert np.all(se > 0.0)
+    assert np.all(np.abs(means.mean(axis=0) - baseline(t, X)) <= 4.0 * se)
+
+
+def test_call_stage_fn_is_the_clipped_value_model_bitwise():
+    # b = 0 for the max-call: its stack evaluates and stores what it did before,
+    # and its stage T-1 targets are the value function's, through the payoff
+    run = small_run("max_call")
+    stack = backward_pass(run)
+    assert stack.baseline is None
+    np.testing.assert_array_equal(
+        _premium_stage_data(run, stack, run.steps - 1)[1],
+        generate_stage_data(run.steps - 1, run.stage, stack.stage_fn(run.steps), run.params,
+                            run.payoff, run.seed)[1])
+    X = substream(0, 1).uniform(50.0, 200.0, size=(300, 2))
+    for t in range(1, run.steps):
+        expected = kernels.clipped_predict_batch(stack.models[t], X, VALUE)
+        np.testing.assert_array_equal(stack.stage_fn(t)(X), expected)
+        np.testing.assert_array_equal(stack.premium_fn(t)(X), expected)
+    np.testing.assert_array_equal(stack.premium_fn(run.steps)(X), payoff_batch(run.payoff, X))
+
+
 def test_stage_targets_equal_max_of_exercise_and_continuation():
     run = small_run()
     params, payoff, t, M = run.params, run.payoff, 1, run.stage.M
@@ -114,15 +176,20 @@ def test_stage_targets_equal_max_of_exercise_and_continuation():
 
 
 def test_backward_pass_fits_both_models_to_the_stage_targets():
-    # V_t and C_t are the two outputs of one krr_fit of the stage's (X, Y)
+    # f_t and c_t are the two outputs of one krr_fit of the stage's (X, Y)
     run = small_run()
     stack = backward_pass(run)
     for t in range(1, run.steps):
-        X, Y = generate_stage_data(t, run.stage, stack.stage_fn(t + 1), run.params,
-                                   run.payoff, run.seed)
+        X, Y = _premium_stage_data(run, stack, t)
         fit = kernels.krr_fit(X, Y, run.stage.lam, run.stage.kernel)
         np.testing.assert_array_equal(stack.models[t].coefficients, fit.coefficients)
         np.testing.assert_array_equal(stack.models[t].centers, X)
+    # the put's f_T = 0: stage T-1's continuation targets are 0 and its value
+    # targets the payoff's excess over the European put, where positive
+    X, Y = _premium_stage_data(run, stack, run.steps - 1)
+    excess = payoff_batch(run.payoff, X) - stack.baseline(run.steps - 1, X)
+    assert not Y[:, CONTINUATION].any() and (excess > 0).any()
+    np.testing.assert_array_equal(Y[:, VALUE], np.maximum(excess, 0.0))
 
 
 def test_odd_m_rounds_up_to_one_more_draw(monkeypatch):
@@ -317,13 +384,16 @@ def test_stack_stage_fn_rejects_stages_outside_one_to_horizon():
 
 
 def test_stage_models_respect_clip_bound():
+    # the premium each stage_fn adds to b_t stays within its model's clip bound
     run = small_run()
     stack = backward_pass(run)
     rng = substream(1, 2)
     X = rng.uniform(1.0, 400.0, size=(500, 2))
     for t in range(1, 3):
-        preds = stack.stage_fn(t)(X)
+        preds = stack.premium_fn(t)(X)
         assert np.all(np.abs(preds) <= stack.models[t].clip_bound[VALUE] + 1e-12)
+        np.testing.assert_allclose(stack.stage_fn(t)(X), stack.baseline(t, X) + preds,
+                                   rtol=0.0, atol=0.0)
 
 
 def test_stack_stage_fn_at_terminal_is_payoff():
@@ -350,14 +420,17 @@ def test_price_at_origin_rejects_fewer_than_one_draw(eval_M):
 
 
 def test_price_at_origin_averages_antithetic_pairs():
-    # sum_k log x'_k is linear in z, so ten draws in five pairs give its mean exactly
+    # sum_k log x'_k is linear in z, so ten draws in five pairs give its mean
+    # exactly; the price adds it, as the premium f_1, to the European put b_0(x0)
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "quick.cfg")
     stack = backward_pass(cfg)
-    stack.stage_fn = lambda t: lambda X: np.log(X).sum(1)
+    stack.premium_fn = lambda t: lambda X: np.log(X).sum(1)
     params = stack.params
     drift = (params.r - 0.5 * params.sigma ** 2) * params.dt
     exact = math.exp(-params.r * params.dt) * (np.log(params.x0) + drift).sum()
-    assert price_at_origin(stack, 10, substream(1, 2)) == pytest.approx(exact, rel=1e-12)
+    european = stack.baseline(0, params.x0[None])[0]
+    assert price_at_origin(stack, 10, substream(1, 2)) == pytest.approx(european + exact,
+                                                                       rel=1e-12)
 
 
 def test_stages_above_the_old_nystrom_size_fit_exactly(caplog):
@@ -395,8 +468,17 @@ def _nested_lower_bound(stack, paths, rng):
         itm = np.flatnonzero(C > 0)[:1 if t == 0 else None]
         stop = np.zeros(len(C), dtype=bool)
         if itm.size:
-            z = qmc.sobol_shocks(rng, itm.size, bellman.LOWER_BOUND_INNER_M, params.d)
-            cont = continuation(x[itm], stack.stage_fn(t + 1), z, params).mean(axis=1)
+            # b_t plus the mean of f_{t+1}, and b_t alone where f_{t+1} = 0
+            premium, b = stack.premium_fn(t + 1), None
+            if stack.baseline is not None:
+                b = stack.baseline(t, x[itm])
+            if premium is None:
+                cont = b
+            else:
+                z = qmc.sobol_shocks(rng, itm.size, bellman.LOWER_BOUND_INNER_M, params.d)
+                cont = continuation(x[itm], premium, z, params).mean(axis=1)
+                if b is not None:
+                    cont = b + cont
             stop[itm] = C[itm] >= cont
         if t == 0:
             stop[:] = stop[0]
@@ -421,15 +503,15 @@ def _with_bands(stack, s):
     return stack
 
 
-def _recording_stage_fns(stack, monkeypatch):
-    # (t, states) for each evaluation of a stage function the bound makes
-    calls, stage_fn = [], stack.stage_fn
+def _recording_premium_fns(stack, monkeypatch):
+    # (t, states) for each evaluation of a next premium the bound makes
+    calls, premium_fn = [], stack.premium_fn
 
     def recording(t):
-        fn = stage_fn(t)
-        return lambda X: calls.append((t, len(X))) or fn(X)
+        fn = premium_fn(t)
+        return fn and (lambda X: calls.append((t, len(X))) or fn(X))
 
-    monkeypatch.setattr(stack, "stage_fn", recording)
+    monkeypatch.setattr(stack, "premium_fn", recording)
     return calls
 
 
@@ -446,7 +528,7 @@ def test_policy_lower_bound_with_zero_bands_nests_at_t0_only(monkeypatch):
     # every decision is the regression rule
     run = small_run(**{"contract.strike": "101", "contract.steps": "4"})
     stack = _with_bands(backward_pass(run), 0.0)
-    calls = _recording_stage_fns(stack, monkeypatch)
+    calls = _recording_premium_fns(stack, monkeypatch)
     _, se = policy_lower_bound(stack, 300, substream(run.seed, 3))
     assert calls == [(1, bellman.LOWER_BOUND_INNER_M)] and se > 0.0
 
@@ -455,7 +537,7 @@ def test_policy_lower_bound_evaluates_no_next_state_at_t0_at_the_money(monkeypat
     # x0 = strike: nothing is in the money at t = 0, so stage 1 is never evaluated
     run = small_run(**{"contract.steps": "4"})
     stack = backward_pass(run)
-    calls = _recording_stage_fns(stack, monkeypatch)
+    calls = _recording_premium_fns(stack, monkeypatch)
     policy_lower_bound(stack, 300, substream(run.seed, 3))
     assert calls and all(t >= 2 for t, _ in calls)
 
@@ -466,7 +548,7 @@ def test_policy_lower_bound_decides_t0_once_in_the_money(strike, monkeypatch):
     # at strike 200 every path stops at t = 0, so the later dates walk no paths
     run = small_run(**{"contract.strike": strike})
     stack = backward_pass(run)
-    calls = _recording_stage_fns(stack, monkeypatch)
+    calls = _recording_premium_fns(stack, monkeypatch)
     value, stderr = policy_lower_bound(stack, 300, substream(run.seed, 3))
     assert [call for call in calls if call[0] == 1] == [(1, bellman.LOWER_BOUND_INNER_M)]
     if strike == "200":
@@ -490,8 +572,7 @@ def _refit_bands(run, stack, jitter=0.0):
     n, lam = run.stage.n, run.stage.lam
     bands = []
     for t in range(1, run.steps):
-        X, Y = generate_stage_data(t, run.stage, stack.stage_fn(t + 1), run.params,
-                                   run.payoff, run.seed)
+        X, Y = _premium_stage_data(run, stack, t)
         model = stack.models[t]
         K = kernels.gram_matrix(X, model.centers, model.kernel)
         bands.append(_krr_loo_rms(K, Y[:, 1], n * lam + jitter))
@@ -562,6 +643,11 @@ def test_stack_serialization_round_trip(tmp_path):
     rng = substream(0, 1)
     X = rng.uniform(50.0, 200.0, size=(200, 2))
     assert loaded.models[0] is None
+    # format 9 stores the premium models; the baseline is rebuilt from the run's arrays
+    with np.load(path) as data:
+        assert int(data["version"]) == bellman.STACK_FORMAT_VERSION == 9
+    for t in range(stack.horizon + 1):
+        np.testing.assert_array_equal(stack.baseline(t, X), loaded.baseline(t, X))
     for t in range(1, stack.horizon + 1):
         np.testing.assert_array_equal(stack.stage_fn(t)(X), loaded.stage_fn(t)(X))
     for t in range(1, stack.horizon):
@@ -633,7 +719,7 @@ def test_stack_with_no_fitted_stage_round_trips(tmp_path):
             == price_at_origin(stack, 500, substream(run.seed, EVAL)))
 
 
-@pytest.mark.parametrize("version", [99, 6], ids=["version", "format_6"])
+@pytest.mark.parametrize("version", [99, 8, 6], ids=["version", "format_8", "format_6"])
 def test_stack_version_check(tmp_path, version):
     stack = backward_pass(small_run())
     path = tmp_path / "stack.npz"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import krrdp
-from krrdp import bellman
+from krrdp import bellman, oracles
 from krrdp.cli import main
 from krrdp.config import config_hash, load_config
 from krrdp.dynamics import LOWER, substream
@@ -58,14 +58,18 @@ def test_price_writes_csv(tmp_path, capsys):
 
 
 def test_price_prints_the_bound_and_warns_when_the_price_lies_below_it(tmp_path, capsys, caplog):
-    # lambda = 1e300 shrinks every stage model to 0, so the price reads 0.0; the
-    # config sets no bound key, and the bound and its check run all the same.
+    # lambda = 1e300 shrinks every premium model to 0, so the price reads the
+    # European put b_0(x0); the config sets no bound key, and the bound and its
+    # check run all the same.
     path = tmp_path / "degenerate.cfg"
     path.write_text(CFG_TEXT + "stage.lambda = 1e300\n")
     with caplog.at_level(logging.WARNING, logger="krrdp.experiments"):
         assert main(["price", "--config", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("price 0.0000")
+    cfg = load_config(path)
+    red = oracles.geometric_reduction(cfg.params, maturity=cfg.maturity, steps=cfg.steps)
+    european = oracles.bs_price(red.s0, 100.0, red.r, red.q, red.sigma_hat, cfg.maturity, "put")
+    assert lines[0].startswith(f"price {european:.4f} ")
     assert any(line.startswith("lower_bound ") for line in lines)
     # each of the 2 x 2 stage fits also reports its zero degrees of freedom
     fits = [r for r in caplog.records if r.name == "krrdp.kernels"]

@@ -188,10 +188,11 @@ def test_run_config_derives_maturity_and_views_one_stage_per_date():
 
 
 def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
-    # The diagnostic's first continuation matrix is the one behind stage T-1's
+    # The put's stage T-1 averages f_T = 0 and draws nothing, so the
+    # diagnostic's first continuation matrix is the one behind stage T-2's
     # targets in repetition 0, whose stack gives run_benchmark's lower bound.
     cfg = tiny_config()
-    t, stage = cfg.steps - 1, cfg.stage
+    t, stage = cfg.steps - 2, cfg.stage
     calls = []
     continuation = bellman.continuation
 
@@ -205,12 +206,15 @@ def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == experiments.MC_DIAG_REPLICATES
     X, S = calls[0]
-    payoff_fn = lambda Xb: payoff_batch(cfg.payoff, Xb)
-    X_run, Y_run = bellman.generate_stage_data(t, stage, payoff_fn, cfg.params, cfg.payoff,
-                                               experiments.repetition(cfg, 0).seed)
+    run = experiments.repetition(cfg, 0)
+    stack = bellman.backward_pass(run)
+    X_run, Y_run = bellman.generate_stage_data(
+        t, stage, stack.premium_fn(t + 1), cfg.params, cfg.payoff, run.seed, 1,
+        lambda Xb: stack.baseline(t, Xb))
     np.testing.assert_array_equal(X, X_run)
     np.testing.assert_array_equal(S.mean(axis=1), Y_run[:, 1])
-    np.testing.assert_array_equal(np.maximum(payoff_fn(X), S.mean(axis=1)), Y_run[:, 0])
+    exercise = payoff_batch(cfg.payoff, X) - stack.baseline(t, X)
+    np.testing.assert_array_equal(np.maximum(exercise, S.mean(axis=1)), Y_run[:, 0])
     assert S.shape == (stage.n, stage.M)
     # every replicate averages the same states on its own shifts; the standard
     # error is the RMS over rows of each row mean's sd across the replicates
@@ -220,11 +224,30 @@ def test_mc_diagnostic_measures_the_stage_targets_draws(monkeypatch):
     assert se == math.sqrt(np.mean(means.var(axis=0, ddof=1)))
 
 
+def test_mc_diagnostic_of_the_call_averages_the_payoff_at_stage_t_minus_1(monkeypatch):
+    cfg = tiny_config("max_call")
+    seen = []
+    continuation = bellman.continuation
+
+    def recording(X, next_fn, Z, params):
+        seen.append((X, next_fn(X)))
+        return continuation(X, next_fn, Z, params)
+
+    monkeypatch.setattr(bellman, "continuation", recording)
+    mc_error_diagnostic(cfg)
+    X, values = seen[0]
+    X_run, _ = bellman.stage_draws(cfg.steps - 1, cfg.stage, cfg.params,
+                                   experiments.repetition(cfg, 0).seed)
+    np.testing.assert_array_equal(X, X_run)
+    np.testing.assert_array_equal(values, payoff_batch(cfg.payoff, X))
+
+
 def test_mc_diagnostic_clt_scaling():
     small = mc_error_diagnostic(tiny_config(**{"stage.n": "200", "stage.M": "64"}))
     large = mc_error_diagnostic(tiny_config(**{"stage.n": "200", "stage.M": "256"}))
     # Shifted Sobol points beat 1/sqrt(M), the pseudo-random rate (a ratio of
-    # sqrt(4) = 2), on the payoff's kink, but not 1/M (a ratio of 4)
+    # sqrt(4) = 2), on the clipped premium the put's stage T-2 averages, but
+    # not 1/M (a ratio of 4)
     assert 2.0 <= small / large <= 4.0
 
 
@@ -240,12 +263,26 @@ def test_mc_diagnostic_rejects_a_contract_with_no_fitted_stage():
         mc_error_diagnostic(tiny_config(**{"contract.steps": "1"}))
 
 
+def test_mc_diagnostic_rejects_a_put_with_no_stage_that_draws():
+    # two dates: the put's one fitted stage, T-1, averages f_T = 0 and draws nothing
+    with pytest.raises(ValueError, match="contract.steps >= 3"):
+        mc_error_diagnostic(tiny_config(**{"contract.steps": "2"}))
+    assert mc_error_diagnostic(tiny_config("max_call", **{"contract.steps": "2"})) > 0.0
+
+
 QUICK_CFG = Path(__file__).resolve().parents[1] / "configs" / "quick.cfg"
 
 
+def european_put(cfg):
+    """The European put on the geometric mean at x0: the price with every premium at 0."""
+    red = oracles.geometric_reduction(cfg.params, maturity=cfg.maturity, steps=cfg.steps)
+    return oracles.bs_price(red.s0, cfg.payoff.strike, red.r, red.q, red.sigma_hat,
+                            cfg.maturity, "put")
+
+
 def test_price_below_lower_bound_warns(caplog, tmp_path):
-    # lambda = 1e300 shrinks every stage model to 0, so the price reads 0.0
-    # against a policy lower bound near 3.8.
+    # lambda = 1e300 shrinks every premium model to 0, so the price reads the
+    # European put b_0(x0), 4.18, against a policy lower bound near 4.56.
     path = tmp_path / "degenerate.cfg"
     path.write_text(QUICK_CFG.read_text() + "stage.lambda = 1e300\n")
     with caplog.at_level(logging.WARNING, logger="krrdp.experiments"):
@@ -254,13 +291,14 @@ def test_price_below_lower_bound_warns(caplog, tmp_path):
     fits = [r for r in caplog.records if r.name == "krrdp.kernels"]
     [record] = [r for r in caplog.records if r.name != "krrdp.kernels"]
     assert len(fits) == 4 and all("effective degrees of freedom" in r.getMessage() for r in fits)
-    assert res.price_mean < 1e-6 < res.lower_bound[0]
+    assert res.per_rep_prices == pytest.approx([european_put(res.config)] * 2, rel=1e-12)
+    assert res.price_mean < res.lower_bound[0]
     assert "below the policy lower bound" in record.getMessage()
     assert "stage.lambda" in record.getMessage()
 
 
 @pytest.mark.parametrize("override, warns", [
-    ("", False),  # 15.6 effective degrees of freedom or more at each stage
+    ("", False),  # 19.8 effective degrees of freedom or more at each stage
     ("stage.lengthscale = 1e6\n", True),  # a Gram matrix of ones: 1.0
     ("stage.lambda = 1e300\n", True),  # 0.0
     ("stage.lambda = 1\n", True),  # 0.6

@@ -1,3 +1,4 @@
+import math
 import statistics
 import subprocess
 import sys
@@ -78,15 +79,29 @@ def test_sobol_shocks_reject_dimensions_beyond_the_table():
 
 
 def test_rqmc_x0_spread_is_below_the_pseudo_random_one_at_equal_m(quick):
-    # 20 randomizations of the x0 continuation at 1024 points or draws each
+    # 20 randomizations of the x0 continuation at 1024 points or draws each,
+    # both averaging the stage-1 premium above the same b_0(x0)
     run, stack = quick
     x0, M = run.params.x0[None], 1024
     rqmc, pseudo = [], []
     for k in range(20):
         rqmc.append(bellman._nested(stack, 0, x0, M, substream(k, EVAL))[0])
         Z = substream(k, EVAL).standard_normal((1, M // 2, run.params.d))
-        pseudo.append(continuation(x0, stack.stage_fn(1), Z, run.params).mean())
+        pseudo.append(continuation(x0, stack.premium_fn(1), Z, run.params).mean())
     assert np.std(rqmc) < 0.5 * np.std(pseudo)
+
+
+def test_normal_cdf_matches_the_standard_library_erfc_within_a_few_ulps():
+    # 0.5 erfc(-x / sqrt(2)) over [-38, 9]: from 1e-316, deep in the subnormals,
+    # to 1.0. 7 ulps is the largest difference seen, in the Gaussian tail.
+    x = np.concatenate([np.linspace(-38.0, 9.0, 20001), [-4.0 * math.sqrt(2.0), 0.0]])
+    expected = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    np.testing.assert_array_max_ulp(qmc.normal_cdf(x), expected, maxulp=8)
+    # each of erfc's three regions, on both sides of 0, and its edges
+    z = np.concatenate([np.linspace(-6.0, 27.0, 20001), [-4.0, -0.46875, 0.46875, 4.0]])
+    np.testing.assert_array_max_ulp(qmc._erfc(z), [math.erfc(v) for v in z], maxulp=8)
+    assert qmc._erfc(np.array([np.inf, -np.inf, 30.0])).tolist() == [0.0, 2.0, 0.0]
+    assert np.isnan(qmc._erfc(np.array([np.nan]))).all()
 
 
 def test_package_imports_neither_scipy_stats_nor_special():
