@@ -22,8 +22,8 @@ digitally shifted Sobol points, one shift per averaged state: the stage
 targets' M points (``stage_draws``), ``price_at_origin``'s eval_M points at x0
 and the bound's LOWER_BOUND_INNER_M. A stage draws its training states and the
 shifts of its inner shocks from one counter-based substream each, keyed by
-(seed, purpose, stage), before any continuation tile runs; the tiles depend
-only on the stage's size, so the targets do not depend on the thread count.
+(seed, purpose, stage), before its continuation runs, so its targets repeat
+bitwise run to run.
 """
 
 import functools
@@ -49,9 +49,9 @@ VALUE, CONTINUATION = 0, 1
 # benchmark rows (2 vCPU, 6 s runs, medians of 8 seeds), seconds per
 # repetition did not separate between tiles 2**11, 2**12 and 2**13 (put_d10
 # 0.356, 0.342 and 0.327 s in one set of seeds; 0.316 s at 2**11 and 2**12
-# in another), while peak RSS fell with the tile, most where two threads each
-# hold a tile: put_d5_jobs2 read 73.0, 74.0 and 74.5 MB, and 73.2 against
-# 74.7 MB in the second set; put_d10 75.9, 75.9 and 77.4 MB.
+# in another), while peak RSS fell with the tile: put_d5_jobs2, measured
+# while its tiles ran on two threads, read 73.0, 74.0 and 74.5 MB, and 73.2
+# against 74.7 MB in the second set; put_d10 75.9, 75.9 and 77.4 MB.
 CONTINUATION_TILE = 2**11
 
 # Points (16 antithetic pairs of shifted Sobol points) of policy_lower_bound's
@@ -156,7 +156,7 @@ class ValueFunctionStack:
         return lambda X: self.baseline(t, X) + premium(X)
 
 
-def continuation(X, next_fn, Z, params, tile_map=map):
+def continuation(X, next_fn, Z, params):
     """The (n, 2h) matrix of discounted next values e^{-r dt} next_fn(step(X_i, +-Z_ij)).
 
     Each state X_i (a row of X, shape (n, d)) steps once per shock Z_ij and
@@ -165,24 +165,19 @@ def continuation(X, next_fn, Z, params, tile_map=map):
     are a pair; row means are the Monte Carlo continuation values. The next
     states are stepped and evaluated in tiles of at most CONTINUATION_TILE:
     whole rows while their 2h states fit, else slices of one row's pairs, so
-    no array but Z and the result grows with n h. The tiles depend only on
-    (n, h) and write disjoint blocks, so ``tile_map`` (builtin ``map`` or an
-    executor's) may run them on any threads and the result is bitwise the
-    same.
+    no array but Z and the result grows with n h.
     """
     n, h, d = Z.shape
     out = np.empty((n, 2 * h))
     pairs = out.reshape(n, 2, h)  # [i, 0, j] holds pair j's +z value, [i, 1, j] its -z one
     rows = max(1, CONTINUATION_TILE // (2 * h))
     width = min(h, CONTINUATION_TILE // 2)
-
-    def fill(tile):
-        lo, j = tile
-        xn = gbm_step(X[lo:lo + rows, None, :], params, Z[lo:lo + rows, j:j + width],
-                      antithetic=True)
-        pairs[lo:lo + rows, :, j:j + width] = next_fn(xn.reshape(-1, d)).reshape(len(xn), 2, -1)
-
-    list(tile_map(fill, ((lo, j) for lo in range(0, n, rows) for j in range(0, h, width))))
+    for lo in range(0, n, rows):
+        for j in range(0, h, width):
+            xn = gbm_step(X[lo:lo + rows, None, :], params, Z[lo:lo + rows, j:j + width],
+                          antithetic=True)
+            pairs[lo:lo + rows, :, j:j + width] = next_fn(xn.reshape(-1, d)).reshape(
+                len(xn), 2, -1)
     out *= math.exp(-params.r * params.dt)
     return out
 
@@ -197,16 +192,17 @@ def stage_draws(t, cfg, params, seed):
     return X, qmc.sobol_shocks(substream(seed, INNER, t), cfg.n, cfg.M, params.d)
 
 
-def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1, baseline=None):
+def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=None, baseline=None):
     """Stage t's training states X (n, d) and targets Y (n, 2) above the baseline b_t.
 
     ``next_fn`` is the next date's value less its baseline, None where that
     is 0; ``baseline`` is b_t as a batch function, None where b_t = 0.
     ``Y[:, CONTINUATION]`` holds the discounted means of ``next_fn`` over each
     state's inner points and ``Y[:, VALUE]`` the Bellman targets
-    max(exercise - b_t, continuation). The continuation tiles run on
-    ``n_jobs`` threads. Where ``next_fn`` is None the continuation is 0 and
-    the stage draws no inner shocks.
+    max(exercise - b_t, continuation). The continuation runs as one task on
+    one fresh worker thread. Where ``next_fn`` is None the continuation is 0
+    and the stage draws no inner shocks. ``n_jobs`` is unused: it keeps the
+    positional slot that ``layerbench/run.py`` fills.
     """
     Y = np.empty((cfg.n, 2))
     if next_fn is None:
@@ -214,8 +210,19 @@ def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1, baselin
         Y[:, CONTINUATION] = 0.0
     else:
         X, Z = stage_draws(t, cfg, params, seed)
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            Y[:, CONTINUATION] = continuation(X, next_fn, Z, params, pool.map).mean(axis=1)
+        # One worker, for time, not parallelism. Run on the calling thread
+        # instead (2 vCPU, 6 s benchmark runs, medians of 8 seeds), put_d10's
+        # seconds per repetition rose 65% (0.265 to 0.438 s) and its CPU
+        # seconds 66%, though call_d2's fell 42% and put_d10's peak RSS 5.7%,
+        # the worker's malloc arena. OpenBLAS's threads spin after each fit:
+        # under OPENBLAS_THREAD_TIMEOUT=4 the calling thread's backward pass
+        # took 0.244-0.255 s, against 0.248-0.336 s for this layout, and
+        # under OPENBLAS_NUM_THREADS=1 the two were equal. One worker kept
+        # across stages, or the whole pass on one worker, was as slow as the
+        # calling thread.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            Y[:, CONTINUATION] = pool.submit(continuation, X, next_fn, Z,
+                                             params).result().mean(axis=1)
     exercise = payoff_batch(payoff, X)
     if baseline is not None:
         exercise -= baseline(X)
@@ -223,26 +230,27 @@ def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=1, baselin
     return X, Y
 
 
-def fit_stage(stack, t, cfg, seed, n_jobs=1):
+def fit_stage(stack, t, cfg, seed):
     """Fit stage t's premium model, and so f_t and c_t, from the stack's f_{t+1}."""
     baseline = None if stack.baseline is None else functools.partial(stack.baseline, t)
     try:
         X, Y = generate_stage_data(t, cfg, stack.premium_fn(t + 1), stack.params, stack.payoff,
-                                   seed, n_jobs, baseline)
+                                   seed, baseline=baseline)
         stack.models[t] = kernels.krr_fit(X, Y, cfg.lam, cfg.kernel)
     except kernels.FitError as exc:
         raise kernels.FitError(f"stage {t}: {exc}") from exc
 
 
-def backward_pass(run, n_jobs=1):
+def backward_pass(run, n_jobs=None):
     """Fit f_t and c_t for t = T-1 down to 1: one model of the stage's two target columns each.
 
     Stage 0 is the point mass at x0, so it has no regression: its one value,
     the time-0 price, is ``price_at_origin``'s fresh evaluation at x0.
+    ``n_jobs`` is unused, as in ``generate_stage_data``.
     """
     stack = ValueFunctionStack(payoff=run.payoff, models=[None] * run.steps, params=run.params)
     for t in range(run.steps - 1, 0, -1):
-        fit_stage(stack, t, run.stage, run.seed, n_jobs)
+        fit_stage(stack, t, run.stage, run.seed)
     return stack
 
 
@@ -359,7 +367,12 @@ def save_stack(stack, path):
 
 
 def load_stack(path):
-    """The stack ``save_stack`` wrote, its baseline rebuilt from the stored run arrays."""
+    """The stack ``save_stack`` wrote, its baseline rebuilt from the stored run arrays.
+
+    Raises ValueError for another format version, or unless ``lengthscale``,
+    ``clip_bound`` and ``loo_rms`` have one row per stage and the file one
+    ``centers_t`` and ``coef_t`` pair per row.
+    """
     with np.load(path) as data:
         # formats 7 and older kept the version in a JSON header, not an array
         version = int(data["version"]) if "version" in data else "7 or older"
@@ -368,6 +381,13 @@ def load_stack(path):
         params = GbmParams(d=len(data["x0"]), r=float(data["r"]), sigma=data["sigma"],
                            rho=data["rho"], x0=data["x0"], dt=float(data["dt"]))
         payoff = PayoffSpec(kind=str(data["payoff_kind"]), strike=float(data["strike"]))
+        rows = [len(data[name]) for name in ("lengthscale", "clip_bound", "loo_rms")]
+        expected = {f"{name}_{t}" for t in range(1, rows[0] + 1) for name in ("centers", "coef")}
+        stored = {name for name in data.files if name.startswith(("centers_", "coef_"))}
+        if len(set(rows)) != 1 or stored != expected:
+            raise ValueError(f"stack file's stage arrays disagree: lengthscale, clip_bound and "
+                             f"loo_rms have {rows} rows, with {len(stored)} centers_t and "
+                             f"coef_t arrays stored")
         stages = zip(data["lengthscale"], data["clip_bound"], data["loo_rms"])
         models = [None] + [
             KrrModel(centers=data[f"centers_{t}"], coefficients=data[f"coef_{t}"],

@@ -1,9 +1,8 @@
 """Correlated multi-asset GBM: one-step transitions and stage sampling.
 
 RNG discipline: every consumer derives an independent Philox substream from
-(root seed, purpose) or (root seed, purpose, stage) via ``substream``, and
-draws from it before any parallel work, so results do not depend on the
-order in which threads run.
+(root seed, purpose) or (root seed, purpose, stage) via ``substream``, so a
+draw depends only on its key, not on what was drawn before it.
 """
 
 import logging

@@ -2,8 +2,8 @@ import functools
 import json
 import logging
 import math
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -265,34 +265,6 @@ def test_tiled_continuation_matches_one_shot(n, M, monkeypatch):
                                rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("n, M, count", [
-    (300, 128, 5),  # whole-row tiles: 64 rows a tile, a ragged last tile of 44
-    (2, 20_000, 6),  # slices of one row's pairs: 10 000 pairs in slices of 4096
-])
-def test_continuation_on_a_thread_pool_matches_builtin_map(n, M, count, monkeypatch):
-    # The tiles are the unit of thread work: running them on two threads, in
-    # whatever order they finish, writes bitwise the values builtin map does.
-    monkeypatch.setattr(bellman, "CONTINUATION_TILE", TILE)
-    params = make_params(d=3)
-    rng = substream(23, INNER, M)
-    X = sample_mu_t(params, 3, n, rng)
-    model = kernels.KrrModel(centers=sample_mu_t(params, 4, 37, rng),
-                             coefficients=rng.uniform(-1.0, 1.0, (1, 37)),
-                             kernel=KernelSpec(lengthscale=20.0),
-                             clip_bound=np.full(1, math.inf), loo_rms=np.full(1, math.inf))
-    Z = rng.standard_normal((n, (M + 1) // 2, 3))
-    tiles = []
-
-    def next_fn(Xb):
-        tiles.append(len(Xb))
-        return kernels.clipped_predict_batch(model, Xb)
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        pooled = continuation(X, next_fn, Z, params, pool.map)
-    assert len(tiles) == count
-    np.testing.assert_array_equal(pooled, continuation(X, next_fn, Z, params))
-
-
 def test_price_at_origin_working_memory_does_not_grow_with_eval_m():
     # At eval_M = 400 000 on a d = 10 stack, what price_at_origin allocates beyond
     # its shocks and its (1, 2h) continuation matrix stays under 8 MB (71 MB untiled).
@@ -317,36 +289,21 @@ def test_generate_stage_data_targets_dominate_exercise():
     assert np.all(Y[:, 0] >= payoff_batch(payoff, X) - 1e-12)
 
 
-@pytest.mark.parametrize("jobs", [4, 8])
-def test_generate_stage_data_bitwise_thread_invariance(jobs):
-    run = small_run()
-    payoff, params = run.payoff, run.params
-    next_fn = lambda Xb: payoff_batch(payoff, Xb)
-    X1, y1 = generate_stage_data(2, run.stage, next_fn, params, payoff, run.seed, n_jobs=1)
-    Xj, yj = generate_stage_data(2, run.stage, next_fn, params, payoff, run.seed, n_jobs=jobs)
-    np.testing.assert_array_equal(X1, Xj)
-    np.testing.assert_array_equal(y1, yj)
-
-
-def test_generate_stage_data_rejects_zero_jobs():
-    run = small_run()
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_stage_continuation_runs_as_one_task_on_one_worker_thread(jobs):
+    # The jobs slot is unused: whatever it holds, every tile of the stage's
+    # continuation runs on one thread, and not on the caller's.
+    run = small_run(**{"stage.n": "300", "stage.M": "64"})
     payoff = run.payoff
-    with pytest.raises(ValueError):
-        generate_stage_data(2, run.stage, lambda Xb: payoff_batch(payoff, Xb),
-                            run.params, payoff, run.seed, n_jobs=0)
+    idents = []
 
+    def next_fn(Xb):
+        idents.append(threading.get_ident())
+        return payoff_batch(payoff, Xb)
 
-def test_generate_stage_data_kernel_targets_bitwise_across_jobs():
-    # The next function is the fitted stage T-1 model: its predict is where
-    # BLAS rounding could follow how the work is split among threads.
-    run = small_run(**{"market.d": "5", "stage.n": "300", "stage.M": "64"})
-    stack = backward_pass(run)
-    t = 1
-    results = [generate_stage_data(t, run.stage, stack.stage_fn(t + 1), run.params,
-                                   run.payoff, run.seed, n_jobs=jobs) for jobs in (1, 2, 4)]
-    for X, y in results[1:]:
-        np.testing.assert_array_equal(results[0][0], X)
-        np.testing.assert_array_equal(results[0][1], y)
+    generate_stage_data(2, run.stage, next_fn, run.params, payoff, run.seed, jobs)
+    assert len(idents) > 1
+    assert len(set(idents)) == 1 and idents[0] != threading.get_ident()
 
 
 def test_backward_pass_structure_and_determinism():
@@ -663,6 +620,23 @@ def test_stack_serialization_round_trip(tmp_path):
             == policy_lower_bound(stack, 400, substream(run.seed, 3)))
     _set_array(path, "version", 5)
     with pytest.raises(ValueError, match="version 5"):
+        load_stack(path)
+
+
+@pytest.mark.parametrize("name", ["lengthscale", "clip_bound", "loo_rms", "centers_3", "coef_1"])
+def test_stack_with_stage_arrays_that_disagree_is_rejected(tmp_path, name):
+    # A row array one row short would otherwise load a shorter horizon.
+    stack = backward_pass(small_run(**{"contract.steps": "4"}))
+    path = tmp_path / "stack.npz"
+    save_stack(stack, path)
+    data = dict(np.load(path))
+    if name.startswith(("centers_", "coef_")):
+        del data[name]
+    else:
+        data[name] = data[name][:-1]
+    with open(path, "wb") as f:
+        np.savez(f, **data)
+    with pytest.raises(ValueError, match="stage arrays disagree"):
         load_stack(path)
 
 

@@ -172,8 +172,8 @@ REQUIRED_ARGS = {"price": [], "converge": ["--n-grid", "20,40"], "dump-stack": [
 def test_price_has_no_oracle_option(command, flag, cfg_path, capsys):
     # Every setting comes from the config file, and a command runs without one
     # that has a single value in use: the oracle is always printed for the put,
-    # the lower bound always runs, the data generation runs on one thread, and
-    # seed and repetitions are config keys.
+    # the lower bound always runs, no command takes a thread count, and seed
+    # and repetitions are config keys.
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", cfg_path, *REQUIRED_ARGS[command], *flag])
     assert exc.value.code == 2
