@@ -28,7 +28,6 @@ bitwise run to run.
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +48,9 @@ VALUE, CONTINUATION = 0, 1
 # benchmark rows (2 vCPU, 6 s runs, medians of 8 seeds), seconds per
 # repetition did not separate between tiles 2**11, 2**12 and 2**13 (put_d10
 # 0.356, 0.342 and 0.327 s in one set of seeds; 0.316 s at 2**11 and 2**12
-# in another), while peak RSS fell with the tile: put_d5_jobs2, measured
-# while its tiles ran on two threads, read 73.0, 74.0 and 74.5 MB, and 73.2
-# against 74.7 MB in the second set; put_d10 75.9, 75.9 and 77.4 MB.
+# in another), while peak RSS fell with the tile: put_d5_jobs2 read 73.0,
+# 74.0 and 74.5 MB, and 73.2 against 74.7 MB in the second set; put_d10 75.9,
+# 75.9 and 77.4 MB.
 CONTINUATION_TILE = 2**11
 
 # Points (16 antithetic pairs of shifted Sobol points) of policy_lower_bound's
@@ -199,10 +198,10 @@ def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=None, base
     is 0; ``baseline`` is b_t as a batch function, None where b_t = 0.
     ``Y[:, CONTINUATION]`` holds the discounted means of ``next_fn`` over each
     state's inner points and ``Y[:, VALUE]`` the Bellman targets
-    max(exercise - b_t, continuation). The continuation runs as one task on
-    one fresh worker thread. Where ``next_fn`` is None the continuation is 0
-    and the stage draws no inner shocks. ``n_jobs`` is unused: it keeps the
-    positional slot that ``layerbench/run.py`` fills.
+    max(exercise - b_t, continuation), all made on the calling thread. Where
+    ``next_fn`` is None the continuation is 0 and the stage draws no inner
+    shocks. ``n_jobs`` is unused: it keeps the positional slot that
+    ``layerbench/run.py`` fills.
     """
     Y = np.empty((cfg.n, 2))
     if next_fn is None:
@@ -210,19 +209,7 @@ def generate_stage_data(t, cfg, next_fn, params, payoff, seed, n_jobs=None, base
         Y[:, CONTINUATION] = 0.0
     else:
         X, Z = stage_draws(t, cfg, params, seed)
-        # One worker, for time, not parallelism. Run on the calling thread
-        # instead (2 vCPU, 6 s benchmark runs, medians of 8 seeds), put_d10's
-        # seconds per repetition rose 65% (0.265 to 0.438 s) and its CPU
-        # seconds 66%, though call_d2's fell 42% and put_d10's peak RSS 5.7%,
-        # the worker's malloc arena. OpenBLAS's threads spin after each fit:
-        # under OPENBLAS_THREAD_TIMEOUT=4 the calling thread's backward pass
-        # took 0.244-0.255 s, against 0.248-0.336 s for this layout, and
-        # under OPENBLAS_NUM_THREADS=1 the two were equal. One worker kept
-        # across stages, or the whole pass on one worker, was as slow as the
-        # calling thread.
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            Y[:, CONTINUATION] = pool.submit(continuation, X, next_fn, Z,
-                                             params).result().mean(axis=1)
+        Y[:, CONTINUATION] = continuation(X, next_fn, Z, params).mean(axis=1)
     exercise = payoff_batch(payoff, X)
     if baseline is not None:
         exercise -= baseline(X)

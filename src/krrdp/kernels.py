@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 logger = logging.getLogger(__name__)
 
@@ -16,6 +15,17 @@ _LOG2_E = 1.0 / math.log(2.0)
 # configs/quick.cfg 19.8 and up; on quick.cfg, lengthscale 1e6 gives 1.0,
 # lambda 1 gives 0.6 and lambda 1e300 gives 0.0.
 MIN_DOF = 2.0
+
+
+def __getattr__(name):
+    # The package does not use scipy. The benchmark's tracer (layerbench/tracer.py)
+    # still overlays ``kernels.scipy.linalg.cho_factor``, which nothing here calls,
+    # so that name imports scipy on first use: only traced runs load it.
+    # ROADMAP item 1 deletes this.
+    if name == "scipy":
+        import scipy.linalg
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FitError(RuntimeError):
@@ -139,9 +149,9 @@ def _solve_spd(system, b, jitter_scale):
     ``system`` builds a new C-ordered A on each call. A failed factorization
     has overwritten A, so the retry builds it again and adds ``jitter_scale``
     to its diagonal; if that fails too, FitError. ``b`` may hold several
-    right-hand sides as columns. Returns the solution, the factor that
-    produced it (its lower triangle is L) and the jitter added: 0.0 or
-    ``jitter_scale``.
+    right-hand sides as columns. Returns the solution, the inverse factor L^-1
+    that produced it (``_inverse_factor``, made in A's memory) and the jitter
+    added: 0.0 or ``jitter_scale``.
     """
     try:
         return (*_factor_solve(system(), b), 0.0)
@@ -159,42 +169,55 @@ def _solve_spd(system, b, jitter_scale):
 
 
 def _factor_solve(A, b):
-    """Solution of A x = b and the factor, made in place on A's Fortran-ordered transpose.
+    """Solution x = L^-T (L^-1 b) of A x = b, and L^-1, made in place on A = L L^T."""
+    inverse = _inverse_factor(A)
+    return inverse.T @ (inverse @ b), inverse
 
-    Factoring A.T, not A, spares scipy a copy. A is symmetric, so the lower
-    triangle of A.T that LAPACK reads is A's upper one; on a Gram matrix
-    built by GEMM the two triangles differ by rounding, about 1e-16.
+
+def _inverse_factor(A):
+    """Overwrite the SPD matrix A = L L^T with L^-1 (strictly upper triangle 0) and return it.
+
+    Recursive and blocked (Elmroth et al., SIAM Review 46, 2004), on numpy's
+    BLAS: with A's leading h x h block A11 = L11 L11^T, L21 = A21 L11^-T, the
+    Schur complement A22 - L21 L21^T = L22 L22^T, and the lower-left block of
+    L^-1 is -L22^-1 L21 L11^-1. Splitting at h = 2n/3 keeps each temporary,
+    an (n - h, h) or (n - h, n - h) product, at most 2 n^2 / 9. Up to 64 rows,
+    numpy's Cholesky and inverse. A matrix that is not positive definite
+    raises ``np.linalg.LinAlgError`` and leaves A partly overwritten.
     """
-    c, low = scipy.linalg.cho_factor(A.T, lower=True, overwrite_a=True)
-    return scipy.linalg.cho_solve((c, low), b), c
+    n = len(A)
+    if n <= 64:
+        A[...] = np.tril(np.linalg.inv(np.linalg.cholesky(A)))
+        return A
+    h = 2 * n // 3
+    A11, A21, A22 = A[:h, :h], A[h:, :h], A[h:, h:]
+    _inverse_factor(A11)
+    A21[...] = A21 @ A11.T
+    A22 -= A21 @ A21.T
+    _inverse_factor(A22)
+    np.matmul(A22, A21 @ A11, out=A21)
+    np.negative(A21, out=A21)
+    A[:h, h:] = 0.0
+    return A
 
 
-def _inverse_diagonal(c):
-    """diag(A^-1) from the factor L of A = L L^T in the lower triangle of ``c``, overwritten.
+def _inverse_diagonal(inverse):
+    """diag(A^-1) from A's inverse factor L^-1 (upper triangle 0): its column sums of squares.
 
-    [A^-1]_ii = [L^-T L^-1]_ii is the sum of squares of column i of L^-1 on
-    and below the diagonal, so one triangular inverse (``dtrtri``) serves,
-    not all of A^-1 (``dpotri``). In the Fortran-ordered (n, n) inverse that
-    part of column i is the flat run [i (n + 1), (i + 1) n); ``reduceat``
-    sums those runs and skips the strictly upper entries between them, which
-    keep ``c``'s stale values.
+    [A^-1]_ii = [L^-T L^-1]_ii, so L^-1 serves, not all of A^-1.
     """
-    n = len(c)
-    flat = scipy.linalg.lapack.dtrtri(c, lower=1, overwrite_c=1)[0].ravel(order="F")
-    np.square(flat, out=flat)
-    bounds = np.empty(2 * n - 1, dtype=np.intp)
-    bounds[0::2] = np.arange(n) * (n + 1)
-    bounds[1::2] = np.arange(1, n) * n
-    return np.add.reduceat(flat, bounds)[0::2]
+    return np.einsum("ij,ij->j", inverse, inverse)
 
 
 def _targets(X, y):
-    """X as an (n, d) matrix and y as (n, k) floats, checked to match."""
+    """X as an (n, d) matrix and y as (n, k) floats, checked to match and to be finite."""
     X = _as_matrix(X)
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or X.shape[0] < 1 or y.shape[0] != X.shape[0]:
         raise ValueError(f"X must be (n, d) and the targets (n, k), with n >= 1; "
                          f"got shapes {X.shape} and {y.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("states and targets must not contain infs or NaNs")
     return X, y
 
 
@@ -219,7 +242,7 @@ def krr_fit(X, y, lam, spec):
     column's max |y_i|. Each output's ``loo_rms`` comes from that factor: the
     leave-one-out residual at x_i is alpha_i / [A^-1]_ii for the system A
     actually solved (Rifkin & Lippert, "Notes on regularized least squares",
-    2007), with the diagonal of A^-1 from L (``_inverse_diagonal``).
+    2007), with the diagonal of A^-1 from L^-1 (``_inverse_diagonal``).
 
     The same diagonal gives the fit's effective degrees of freedom,
     tr(G A^-1) = n - penalty tr(A^-1) for the diagonal penalty actually added,
@@ -236,8 +259,8 @@ def krr_fit(X, y, lam, spec):
         A.flat[::n + 1] += lam * n
         return A
 
-    alpha, c, jitter = _solve_spd(system, y, 1e-10)
-    inv_diag = _inverse_diagonal(c)
+    alpha, inverse, jitter = _solve_spd(system, y, 1e-10)
+    inv_diag = _inverse_diagonal(inverse)
     dof = n - (lam * n + jitter) * inv_diag.sum()
     if dof < MIN_DOF:
         logger.warning("the fit has %.2g effective degrees of freedom from n = %d points "
@@ -266,10 +289,9 @@ def nystrom_fit(X, y, lam, spec, m, rng):
     Knm[idx, np.arange(m)] = 1.0  # k(c, c) = 1, which the GEMM loses to cancellation
     Kmm = Knm[idx]
     A = Knm.T @ Knm + (lam * n) * Kmm
-    alpha, c, _ = _solve_spd(A.copy, Knm.T @ y, 1e-10 * max(np.trace(A) / m, 1.0))
+    alpha, inverse, _ = _solve_spd(A.copy, Knm.T @ y, 1e-10 * max(np.trace(A) / m, 1.0))
     residuals = y - Knm @ alpha
-    # Knm is not needed again: its transpose is overwritten by L^-1 Knm'.
-    V = scipy.linalg.solve_triangular(c, Knm.T, lower=True, overwrite_b=True)
+    V = inverse @ Knm.T
     leverage = np.einsum("ij,ij->j", V, V)
     with np.errstate(divide="ignore", invalid="ignore"):
         loo = residuals / (1.0 - leverage)[:, None]

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from krrdp import bellman, kernels, oracles, qmc
 from krrdp.bellman import (
@@ -290,9 +289,9 @@ def test_generate_stage_data_targets_dominate_exercise():
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
-def test_stage_continuation_runs_as_one_task_on_one_worker_thread(jobs):
+def test_stage_continuation_runs_on_the_calling_thread(jobs):
     # The jobs slot is unused: whatever it holds, every tile of the stage's
-    # continuation runs on one thread, and not on the caller's.
+    # continuation runs on the caller's thread.
     run = small_run(**{"stage.n": "300", "stage.M": "64"})
     payoff = run.payoff
     idents = []
@@ -303,7 +302,7 @@ def test_stage_continuation_runs_as_one_task_on_one_worker_thread(jobs):
 
     generate_stage_data(2, run.stage, next_fn, run.params, payoff, run.seed, jobs)
     assert len(idents) > 1
-    assert len(set(idents)) == 1 and idents[0] != threading.get_ident()
+    assert set(idents) == {threading.get_ident()}
 
 
 def test_backward_pass_structure_and_determinism():
@@ -548,15 +547,15 @@ def test_continuation_band_comes_from_the_jittered_factor(monkeypatch, caplog):
     # s_t is the leave-one-out RMS of that jittered system, from its one factor.
     run = small_run(**{"stage.n": "25", "stage.lambda": "1e-2"})
     factorizations = []
-    cho_factor, solve = scipy.linalg.cho_factor, kernels._solve_spd
+    inverse_factor, solve = kernels._inverse_factor, kernels._solve_spd
 
-    def failing_first(A, **kwargs):
+    def failing_first(A):
         factorizations.append(len(A))
         if len(factorizations) % 2:
             raise np.linalg.LinAlgError("not positive definite")
-        return cho_factor(A, **kwargs)
+        return inverse_factor(A)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", failing_first)
+    monkeypatch.setattr(kernels, "_inverse_factor", failing_first)
     monkeypatch.setattr(kernels, "_solve_spd", lambda A, b, jitter: solve(A, b, 0.5))
     stack = backward_pass(run)
     assert len(factorizations) == 2 * (run.steps - 1)

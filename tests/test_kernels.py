@@ -241,6 +241,23 @@ def test_krr_input_validation():
         kernels.krr_fit([[1.0]], [1.0], 1e-6, SPEC)
 
 
+@pytest.mark.parametrize("nystrom", [False, True])
+@pytest.mark.parametrize("where, value", [("state", np.nan), ("target", np.nan),
+                                          ("state", np.inf), ("state", -np.inf),
+                                          ("target", np.inf)])
+def test_fits_reject_a_non_finite_state_or_target(nystrom, where, value):
+    # checked up front: a NaN would give NaN coefficients silently, and an
+    # infinite state would centre the Gram matrix's rows by inf - inf
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(10, 2)), rng.normal(size=(10, 2))
+    (X if where == "state" else y)[4, 1] = value
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        if nystrom:
+            kernels.nystrom_fit(X, y, 1e-3, SPEC, 5, np.random.default_rng(0))
+        else:
+            kernels.krr_fit(X, y, 1e-3, SPEC)
+
+
 def test_unfactorizable_system_raises_fit_error():
     with pytest.raises(FitError, match="raise lambda"):
         kernels._solve_spd(lambda: -np.eye(3), np.ones(3), 1e-10)
@@ -248,32 +265,51 @@ def test_unfactorizable_system_raises_fit_error():
 
 @pytest.mark.parametrize("n", [1, 50, 467, 10])
 def test_krr_fit_inverse_diagonal_matches_dpotri(n, monkeypatch, caplog):
-    # krr_fit reads diag(A^-1) from L^-1: it equals the diagonal of dpotri's
-    # whole A^-1 from the same factor, on the jitter-retry path too (n = 10:
-    # ten copies of one point at lambda = 0)
+    # krr_fit reads diag(A^-1) from L^-1: it equals the diagonal of LAPACK's
+    # whole A^-1 (dpotri) of the system solved, rebuilt here, on the
+    # jitter-retry path too (n = 10: ten copies of one point at lambda = 0,
+    # and the retry adds 1e-10 to the diagonal)
     rng = np.random.default_rng(n)
     jitter = n == 10
     X = np.zeros((n, 1)) if jitter else _price_scale_points(rng, n, 10)
+    lam, spec = 0.0 if jitter else 1e-6, KernelSpec(lengthscale=30.0)
     seen = []
     inverse_diagonal = kernels._inverse_diagonal
 
-    def recording(c):
-        full = scipy.linalg.lapack.dpotri(c.copy(order="F"), lower=1)[0]
-        seen.append((np.diag(full), inverse_diagonal(c)))
-        return seen[-1][1]
+    def recording(inverse):
+        seen.append(inverse_diagonal(inverse))
+        return seen[-1]
 
     monkeypatch.setattr(kernels, "_inverse_diagonal", recording)
     with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
-        kernels.krr_fit(X, rng.normal(size=(n, 2)), 0.0 if jitter else 1e-6,
-                        KernelSpec(lengthscale=30.0))
-    (expected, got), = seen
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        kernels.krr_fit(X, rng.normal(size=(n, 2)), lam, spec)
+    A = kernels.gram_matrix(X, X, spec)
+    A.flat[::n + 1] += lam * n + (1e-10 if jitter else 0.0)
+    full = scipy.linalg.lapack.dpotri(scipy.linalg.cho_factor(A, lower=True)[0], lower=1)[0]
+    got, = seen
+    np.testing.assert_allclose(got, np.diag(full), rtol=1e-12, atol=0.0)
     assert any("jitter" in r.getMessage() for r in caplog.records) == jitter
 
 
+@pytest.mark.parametrize("n", [1, 64, 65, 97, 467])
+def test_inverse_factor_is_the_inverse_cholesky_factor_in_place(n):
+    # n = 64 is the largest unsplit block; 65 splits into 43 + 22, 97 into
+    # 64 + 33, and 467 into 311 + 156, each block above 64 rows split again
+    rng = np.random.default_rng(n)
+    B = rng.normal(size=(n, n))
+    A = B @ B.T / n + np.eye(n)
+    expected = np.linalg.inv(np.linalg.cholesky(A))
+    inverse = kernels._inverse_factor(A)
+    assert inverse is A
+    assert not np.triu(A, 1).any()
+    np.testing.assert_allclose(np.tril(A), np.tril(expected), rtol=0.0,
+                               atol=1e-13 * np.abs(expected).max())
+
+
 def test_krr_fit_working_memory_is_one_gram_matrix():
-    # The Gram matrix takes lambda n on its diagonal and is factored in place;
-    # beside it, only scipy's n^2 boolean finiteness check and O(n) arrays.
+    # The Gram matrix takes lambda n on its diagonal and is overwritten by its
+    # inverse factor in place; beside it, one block product of at most 2 n^2 / 9
+    # entries at a time and O(n) arrays.
     n = 1000
     rng = np.random.default_rng(2)
     X, y = _price_scale_points(rng, n, 10), rng.normal(size=(n, 2))
@@ -377,15 +413,15 @@ def test_nystrom_loo_rms_comes_from_the_jittered_factor(monkeypatch, caplog):
     # loo_rms is that of the jittered system, from its one factor.
     X, Y, lam, spec, m = _nystrom_problem()
     factorizations = []
-    cho_factor, solve = scipy.linalg.cho_factor, kernels._solve_spd
+    inverse_factor, solve = kernels._inverse_factor, kernels._solve_spd
 
-    def failing_first(A, **kwargs):
+    def failing_first(A):
         factorizations.append(len(A))
         if len(factorizations) == 1:
             raise np.linalg.LinAlgError("not positive definite")
-        return cho_factor(A, **kwargs)
+        return inverse_factor(A)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", failing_first)
+    monkeypatch.setattr(kernels, "_inverse_factor", failing_first)
     monkeypatch.setattr(kernels, "_solve_spd", lambda A, b, jitter: solve(A, b, 0.5))
     with caplog.at_level(logging.WARNING, logger="krrdp.kernels"):
         model = kernels.nystrom_fit(X, Y, lam, spec, m, np.random.default_rng(0))
